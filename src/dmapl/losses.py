@@ -31,43 +31,49 @@ def labeled_ce(probs: np.ndarray, pseudo_labels: np.ndarray) -> tuple[float, np.
     """Mean -log p(label) over the batch, plus the gradient on the logits.
 
     probs rows must be softmax outputs aligned with the labels; the gradient
-    is (probs - onehot) / batch_size.
+    is (probs - onehot) / batch_size. probs may carry a leading cell axis,
+    (K, n, C), with the (n,) labels shared by every cell; the loss is then
+    a (K,) array.
     """
     p = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(pseudo_labels, dtype=np.int64)
-    if p.shape[0] == 0:
+    n = p.shape[-2]
+    if n == 0:
         raise ValueError("empty batch")
-    if labels.shape != (p.shape[0],):
+    if labels.shape != (n,):
         raise ValueError("labels must align with probability rows")
-    picked = np.clip(p[np.arange(p.shape[0]), labels], PROB_CLAMP, None)
-    loss = float(-np.log(picked).mean())
-    grad = (p - one_hot(labels, p.shape[1])) / p.shape[0]
-    return loss, grad
+    # contiguous rows, so each cell's mean sums in the same order as a 1-D one
+    picked = np.ascontiguousarray(np.clip(p[..., np.arange(n), labels], PROB_CLAMP, None))
+    loss = -np.log(picked).mean(axis=-1)
+    grad = (p - one_hot(labels, p.shape[-1])) / n
+    return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 def soft_ce(probs: np.ndarray, q_batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean of sum_y -q_y log p_y over the batch, plus the gradient on logits.
 
     The gradient per row is (|q|_1 * probs - q) / batch_size; rows with zero
-    mass are inert. q rows must be non-negative but need not sum to 1.
+    mass are inert. q rows must be non-negative but need not sum to 1. With
+    a leading cell axis on both inputs the loss is a (K,) array.
     """
     p = np.asarray(probs, dtype=np.float64)
-    q = np.asarray(q_batch, dtype=np.float64)
-    if p.shape[0] == 0:
+    q = np.ascontiguousarray(q_batch, dtype=np.float64)
+    n = p.shape[-2]
+    if n == 0:
         raise ValueError("empty batch")
     if q.shape != p.shape:
         raise ValueError("soft labels must align with probability rows")
     if (q < 0).any():
         raise ValueError("corrupt soft label (negative entry)")
     logp = np.log(np.clip(p, PROB_CLAMP, None))
-    loss = float(-(q * logp).sum(axis=1).mean())
-    grad = (q.sum(axis=1, keepdims=True) * p - q) / p.shape[0]
-    return loss, grad
+    loss = -(q * logp).sum(axis=-1).mean(axis=-1)
+    grad = (q.sum(axis=-1, keepdims=True) * p - q) / n
+    return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 def total_loss(loss_u: float, loss_l: float, lam: float) -> LossReport:
     """Combined objective: loss_u + lam * loss_l (the trade-off weight sits on
-    the labeled term)."""
-    if lam < 0:
+    the labeled term). Per-cell (K,) arrays combine elementwise."""
+    if (np.asarray(lam) < 0).any():
         raise ValueError("lambda must be >= 0")
     return LossReport(loss_l=loss_l, loss_u=loss_u, total=loss_u + lam * loss_l, lam=lam)

@@ -18,7 +18,15 @@ from .numkit import DmaplError, softmax
 
 
 class DivergenceError(DmaplError):
-    """A non-finite gradient or loss showed up during training."""
+    """A non-finite gradient, loss or logit showed up during training.
+
+    With stacked parameters `cells` is the (K,) bool mask of the cells that
+    diverged; for a single model it is None.
+    """
+
+    def __init__(self, message: str, cells: np.ndarray | None = None):
+        super().__init__(message)
+        self.cells = cells
 
 
 class ModelFormatError(DmaplError):
@@ -41,6 +49,27 @@ class ModelConfig:
 def _glorot(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes (a plain transpose for a matrix)."""
+    return np.swapaxes(m, -1, -2)
+
+
+@dataclass
+class Activations:
+    """What one forward pass computed, kept so `Model.backward` need not
+    run it again: the input of every encoder layer and of the bottleneck
+    (the batch, then each ReLU output), and the outputs. Unpacks as
+    (features, logits, probs)."""
+
+    inputs: list[np.ndarray]
+    features: np.ndarray
+    logits: np.ndarray
+    probs: np.ndarray
+
+    def __iter__(self):
+        return iter((self.features, self.logits, self.probs))
 
 
 class Model:
@@ -79,51 +108,81 @@ class Model:
     def param_names(self) -> list[str]:
         return list(self.params.keys())
 
-    def _trace(self, batch: np.ndarray):
-        """Forward pass keeping pre-activations and activations for backprop."""
+    @classmethod
+    def stack(cls, models: list["Model"]) -> "Model":
+        """K models of one architecture as one model whose parameters carry a
+        leading cell axis: weights (K, fan_in, fan_out), biases (K, 1, fan_out)
+        so they broadcast over batch rows. `forward`, `backward` and
+        `SgdMomentum` then work on all K cells at once, each slice computing
+        exactly what the single model would."""
+        params = {}
+        for name, p in models[0].params.items():
+            stacked = np.stack([m.params[name] for m in models])
+            params[name] = stacked[:, None, :] if p.ndim == 1 else stacked
+        return cls(models[0].config, params)
+
+    def cell(self, k: int) -> "Model":
+        """Cell `k` of a stacked model, as an ordinary model."""
+        return Model(self.config, {name: (p[k, 0] if name.endswith(".b") else p[k]).copy()
+                                   for name, p in self.params.items()})
+
+    def forward(self, batch: np.ndarray) -> Activations:
+        """Forward a (n, input_dim) batch. The result unpacks as
+        (features, logits, probs); with stacked parameters each has a leading
+        cell axis. Non-finite logits raise DivergenceError."""
         x = np.asarray(batch, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(
                 f"batch shape {x.shape} does not match input dim {self.config.input_dim}")
-        activations = [x]
-        preacts = []
+        # in-place bias and ReLU: one new array per layer, which matters once
+        # a stack of cells makes the activations large
+        inputs = [x]
         a = x
         for i in range(len(self.config.hidden_dims)):
-            h = a @ self.params[f"enc{i}.W"] + self.params[f"enc{i}.b"]
-            preacts.append(h)
-            a = np.maximum(h, 0.0)
-            activations.append(a)
-        features = a @ self.params["bottleneck.W"] + self.params["bottleneck.b"]
-        logits = features @ self.params["classifier.W"] + self.params["classifier.b"]
-        return activations, preacts, features, logits
+            a = a @ self.params[f"enc{i}.W"]
+            a += self.params[f"enc{i}.b"]
+            np.maximum(a, 0.0, out=a)
+            inputs.append(a)
+        features = a @ self.params["bottleneck.W"]
+        features += self.params["bottleneck.b"]
+        logits = features @ self.params["classifier.W"]
+        logits += self.params["classifier.b"]
+        try:
+            probs = softmax(logits, axis=-1)
+        except ValueError:
+            # softmax refuses non-finite logits; only then find the cells
+            finite = np.isfinite(logits)
+            if finite.all():
+                raise
+            raise DivergenceError("non-finite logits",
+                                  ~finite.all(axis=(1, 2)) if logits.ndim == 3 else None) from None
+        return Activations(inputs, features, logits, probs)
 
-    def forward(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (features, logits, probs) for a (n, input_dim) batch."""
-        _, _, features, logits = self._trace(batch)
-        return features, logits, softmax(logits, axis=1)
-
-    def backward(self, batch: np.ndarray, loss_grad_on_logits: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache: Activations, loss_grad_on_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Exact gradients of the forward computation w.r.t. every parameter.
 
-        `loss_grad_on_logits` is dLoss/dlogits for the same batch (already
-        carrying any batch-mean normalization). ReLU subgradient at 0 is 0.
+        `cache` is the forward pass of the batch; `loss_grad_on_logits` is
+        dLoss/dlogits for it (already carrying any batch-mean normalization).
+        ReLU subgradient at 0 is 0.
         """
-        activations, preacts, features, logits = self._trace(batch)
         g = np.asarray(loss_grad_on_logits, dtype=np.float64)
-        if g.shape != logits.shape:
-            raise ValueError(f"loss gradient shape {g.shape} does not match logits {logits.shape}")
+        if g.shape != cache.logits.shape:
+            raise ValueError(
+                f"loss gradient shape {g.shape} does not match logits {cache.logits.shape}")
+        params = self.params
         grads: dict[str, np.ndarray] = {}
-        grads["classifier.W"] = features.T @ g
-        grads["classifier.b"] = g.sum(axis=0)
-        d = g @ self.params["classifier.W"].T
-        grads["bottleneck.W"] = activations[-1].T @ d
-        grads["bottleneck.b"] = d.sum(axis=0)
-        d = d @ self.params["bottleneck.W"].T
+        grads["classifier.W"] = _t(cache.features) @ g
+        grads["classifier.b"] = g.sum(axis=-2).reshape(params["classifier.b"].shape)
+        d = g @ _t(params["classifier.W"])
+        grads["bottleneck.W"] = _t(cache.inputs[-1]) @ d
+        grads["bottleneck.b"] = d.sum(axis=-2).reshape(params["bottleneck.b"].shape)
+        above = "bottleneck.W"
         for i in reversed(range(len(self.config.hidden_dims))):
-            d = d * (preacts[i] > 0)
-            grads[f"enc{i}.W"] = activations[i].T @ d
-            grads[f"enc{i}.b"] = d.sum(axis=0)
-            d = d @ self.params[f"enc{i}.W"].T
+            d = d @ _t(params[above])
+            d *= cache.inputs[i + 1] > 0  # ReLU'(h) = 1 exactly where relu(h) > 0
+            grads[f"enc{i}.W"] = _t(cache.inputs[i]) @ d
+            grads[f"enc{i}.b"] = d.sum(axis=-2).reshape(params[f"enc{i}.b"].shape)
+            above = f"enc{i}.W"
         return grads
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
@@ -176,11 +235,17 @@ class SgdMomentum:
         return cosine_lr(min(t, self.total_steps), self.total_steps, self.eta_0, self.eta_1)
 
     def step(self, model: Model, grads: dict[str, np.ndarray], t: int) -> None:
+        """One update of every parameter. Gradients are checked before any
+        parameter moves; a non-finite block raises DivergenceError naming it
+        (with stacked parameters, for the cells whose block is non-finite)."""
+        for name, param in model.params.items():
+            finite = np.isfinite(grads[name])
+            if not finite.all():
+                raise DivergenceError(f"divergence detected in parameter block '{name}'",
+                                      ~finite.all(axis=(1, 2)) if param.ndim == 3 else None)
         lr = self.lr_at(t)
         for name, param in model.params.items():
             grad = grads[name]
-            if not np.all(np.isfinite(grad)):
-                raise DivergenceError(f"divergence detected in parameter block '{name}'")
             decay = self.weight_decay if name.endswith(".W") else 0.0
             self.velocity[name] = self.momentum * self.velocity[name] + (grad + decay * param)
             scale = self.encoder_lr_scale if name.startswith("enc") else 1.0

@@ -50,24 +50,26 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise L2 normalization; rows with norm <= 1e-12 are left as zeros.
+    """Row-wise L2 normalization along the last axis; rows with norm <= 1e-12
+    are left as zeros. Leading axes (a stack of matrices) are kept.
 
     The lenient zero-row behaviour is what the feature pipeline wants: a
     degenerate feature row then simply contributes nothing downstream.
     """
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    norms = np.linalg.norm(m, axis=-1, keepdims=True)
     safe = np.where(norms > ZERO_NORM_EPS, norms, 1.0)
     out = m / safe
-    out[norms[:, 0] <= ZERO_NORM_EPS] = 0.0
+    out[norms[..., 0] <= ZERO_NORM_EPS] = 0.0
     return out
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Integer class labels -> one-hot float64 matrix of shape (n, num_classes)."""
+    """Integer class labels of any shape -> one-hot float64 array with a
+    trailing class axis: (n,) -> (n, num_classes)."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("label out of range")
-    out = np.zeros((labels.shape[0], num_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
+    out = np.zeros(labels.shape + (num_classes,))
+    out.reshape(-1, num_classes)[np.arange(labels.size), labels.ravel()] = 1.0
     return out

@@ -22,21 +22,37 @@ def class_feature_means(z_batch: np.ndarray, pseudo_labels: np.ndarray,
                         num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-class mean of the (unit-norm) feature rows with that pseudo-label.
 
-    Returns (means, present): means is (C, dim) with zero rows for classes
-    absent from the batch, present is the (C,) bool mask of classes seen.
+    z_batch is (n, dim) and pseudo_labels (n,), or both carry a leading cell
+    axis: (K, n, dim) and (K, n). Returns (means, present): means is
+    (C, dim) (or (K, C, dim)) with zero rows for classes absent from the
+    batch, present the matching (C,) (or (K, C)) bool mask of classes seen.
+    Rows are summed in batch order, so each mean equals `z[mask].mean(0)`.
     """
     z = np.asarray(z_batch, dtype=np.float64)
     labels = np.asarray(pseudo_labels, dtype=np.int64)
-    if labels.shape != (z.shape[0],):
+    if labels.shape != z.shape[:-1] or labels.ndim not in (1, 2):
         raise ValueError("pseudo_labels must align with z_batch rows")
-    means = np.zeros((num_classes, z.shape[1]))
-    present = np.zeros(num_classes, dtype=bool)
-    for c in range(num_classes):
-        mask = labels == c
-        if mask.any():
-            means[c] = z[mask].mean(axis=0)
-            present[c] = True
-    return means, present
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError("pseudo-label out of range")
+    # one bin per (cell, class), filled in batch order
+    cells = labels.shape[0] if labels.ndim == 2 else 1
+    offsets = num_classes * np.arange(cells)[:, None] if labels.ndim == 2 else 0
+    bins = (labels + offsets).ravel()
+    dim = z.shape[-1]
+    sums = np.zeros((cells * num_classes, dim))
+    np.add.at(sums, bins, z.reshape(-1, dim))
+    counts = np.bincount(bins, minlength=cells * num_classes)
+    means = sums / np.maximum(counts, 1)[:, None]
+    lead = labels.shape[:-1]
+    return means.reshape(lead + (num_classes, dim)), (counts > 0).reshape(lead + (num_classes,))
+
+
+def _coefficient(value, name: str) -> np.ndarray:
+    """A moving-average coefficient in (0, 1): a scalar, or one per cell."""
+    coef = np.asarray(value, dtype=np.float64)
+    if coef.ndim > 1 or not np.all((coef > 0.0) & (coef < 1.0)):
+        raise ValueError(f"{name} must be in (0, 1)")
+    return coef
 
 
 class CentroidBank:
@@ -44,24 +60,33 @@ class CentroidBank:
 
     Centroids start at zero and are flagged initialized on their first
     non-degenerate update; prototype assignment refuses to run until every
-    class has been initialized.
+    class has been initialized. With a (K,) sequence of `alpha` values the
+    bank holds K independent cells, one per coefficient: every array gains a
+    leading cell axis and each cell evolves exactly as its own bank would.
+    `degenerate_skips` is an int for a single bank and a (K,) int array for
+    a stacked one.
     """
 
-    def __init__(self, num_classes: int, dim: int, alpha: float):
-        if not (0.0 < alpha < 1.0):
-            raise ValueError("alpha must be in (0, 1)")
-        self.mu = np.zeros((num_classes, dim))
+    def __init__(self, num_classes: int, dim: int, alpha):
+        coef = _coefficient(alpha, "alpha")
         self.alpha = alpha
-        self.initialized = np.zeros(num_classes, dtype=bool)
-        self.degenerate_skips = 0
+        self._alpha = coef[..., None, None]
+        self.mu = np.zeros(coef.shape + (num_classes, dim))
+        self.initialized = np.zeros(coef.shape + (num_classes,), dtype=bool)
+        self.degenerate_skips = 0 if coef.ndim == 0 else np.zeros(coef.shape, dtype=np.int64)
 
     @property
     def num_classes(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-2]
+
+    @property
+    def warm(self) -> np.ndarray:
+        """Whether every class centroid is initialized, per cell."""
+        return self.initialized.all(axis=-1)
 
     @property
     def all_initialized(self) -> bool:
-        return bool(self.initialized.all())
+        return bool(self.warm.all())
 
     def update(self, batch_means: np.ndarray, present: np.ndarray) -> None:
         """mu_c <- normalize(alpha * mu_c + (1 - alpha) * v_c) for present
@@ -72,27 +97,37 @@ class CentroidBank:
         (1 - alpha) scale; the blend is skipped there to make the result
         bit-exactly the normalized batch mean.
         """
-        for c in range(self.num_classes):
-            if not present[c]:
-                continue
-            blend = (batch_means[c] if not self.initialized[c]
-                     else self.alpha * self.mu[c] + (1.0 - self.alpha) * batch_means[c])
-            norm = float(np.linalg.norm(blend))
-            if norm <= ZERO_NORM_EPS:
-                self.degenerate_skips += 1
-                continue
-            self.mu[c] = blend / norm
-            self.initialized[c] = True
+        means = np.asarray(batch_means, dtype=np.float64)
+        present = np.asarray(present, dtype=bool)
+        blend = np.where(self.initialized[..., None],
+                         self._alpha * self.mu + (1.0 - self._alpha) * means, means)
+        # a stacked dot per row, which sums like the 1-D np.linalg.norm
+        norm = np.sqrt((blend[..., None, :] @ blend[..., :, None])[..., 0, 0])
+        degenerate = norm <= ZERO_NORM_EPS
+        skipped = (present & degenerate).sum(axis=-1)
+        self.degenerate_skips += skipped if skipped.ndim else int(skipped)
+        moved = present & ~degenerate
+        self.mu = np.where(moved[..., None], blend / np.where(moved, norm, 1.0)[..., None],
+                           self.mu)
+        self.initialized |= moved
 
-    def assign(self, z_batch: np.ndarray) -> np.ndarray:
+    def assign(self, z_batch: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
         """One-hot prototypical assignment: 1 at argmax_c z . mu_c per row
         (cosine similarity, both unit-norm); ties go to the lowest class index.
+
+        For a stacked bank z_batch is (K, n, dim); `cells`, a (K,) bool mask,
+        restricts the assignment (and the warm-up check) to those cells.
         """
-        if not self.all_initialized:
-            missing = np.flatnonzero(~self.initialized).tolist()
+        mu, initialized = self.mu, self.initialized
+        z = np.asarray(z_batch, dtype=np.float64)
+        if cells is not None:
+            mu, initialized, z = mu[cells], initialized[cells], z[cells]
+        if not initialized.all():
+            missing = np.flatnonzero(
+                (~initialized).reshape(-1, self.num_classes).any(axis=0)).tolist()
             raise RuntimeError(f"prototype bank not warmed up (classes {missing} never seen)")
-        sims = np.asarray(z_batch, dtype=np.float64) @ self.mu.T
-        return one_hot(sims.argmax(axis=1), self.num_classes)
+        sims = z @ np.swapaxes(mu, -1, -2)
+        return one_hot(sims.argmax(axis=-1), self.num_classes)
 
 
 class SoftLabelStore:
@@ -100,43 +135,57 @@ class SoftLabelStore:
 
     q_i <- beta * q_i + (1 - beta) * onehot assignment, starting from zero
     (not uniform), with a per-instance update counter t_i. The L1 mass of q_i
-    is then exactly 1 - beta^{t_i}.
+    is then exactly 1 - beta^{t_i}. With a (K,) sequence of `beta` values
+    the store holds K independent cells: q is (K, n, C) and the counters
+    (K, n).
     """
 
-    def __init__(self, n_instances: int, num_classes: int, beta: float):
-        if not (0.0 < beta < 1.0):
-            raise ValueError("beta must be in (0, 1)")
-        self.q = np.zeros((n_instances, num_classes))
+    def __init__(self, n_instances: int, num_classes: int, beta):
+        coef = _coefficient(beta, "beta")
         self.beta = beta
-        self.update_counts = np.zeros(n_instances, dtype=np.int64)
+        self._beta = coef[..., None, None]
+        self.q = np.zeros(coef.shape + (n_instances, num_classes))
+        self.update_counts = np.zeros(coef.shape + (n_instances,), dtype=np.int64)
 
     @property
     def n_instances(self) -> int:
-        return self.q.shape[0]
+        return self.q.shape[-2]
 
     @property
     def num_classes(self) -> int:
-        return self.q.shape[1]
+        return self.q.shape[-1]
 
-    def update(self, indices: np.ndarray, assigned_onehot: np.ndarray) -> None:
-        """Moving-average update for the listed instances only."""
+    def update(self, indices: np.ndarray, assigned_onehot: np.ndarray,
+               cells: np.ndarray | None = None) -> None:
+        """Moving-average update for the listed instances only. For a
+        stacked store `assigned_onehot` is (K, len(indices), C), or covers
+        only the cells of the (K,) bool mask `cells`."""
         idx = np.asarray(indices, dtype=np.int64)
         y = np.asarray(assigned_onehot, dtype=np.float64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_instances):
             raise IndexError("soft-label index out of range")
-        if y.shape != (idx.size, self.num_classes):
+        beta, rows = self._beta, ((idx,) if self.q.ndim == 2 else (slice(None), idx))
+        if cells is not None:
+            beta, rows = beta[cells], np.ix_(np.flatnonzero(cells), idx)
+        q = self.q[rows]
+        if y.shape != q.shape:
             raise ValueError("assignment shape must be (len(indices), num_classes)")
-        is_onehot = np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=1) == 1.0)
+        is_onehot = np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=-1) == 1.0)
         if not is_onehot:
             raise ValueError("assignments must be one-hot rows")
-        self.q[idx] = self.beta * self.q[idx] + (1.0 - self.beta) * y
-        self.update_counts[idx] += 1
+        self.q[rows] = beta * q + (1.0 - beta) * y
+        self.update_counts[rows] += 1
 
     def save_csv(self, path: str) -> None:
-        """Snapshot export: index, update count, then the q vector per instance."""
+        """Snapshot export: index, update count, then the q vector per
+        instance. A stacked store must hold a single cell."""
+        q = self.q.reshape(-1, self.n_instances, self.num_classes)
+        counts = self.update_counts.reshape(-1, self.n_instances)
+        if len(q) != 1:
+            raise ValueError(f"soft-label snapshot needs a single cell, store has {len(q)}")
+        q, counts = q[0], counts[0]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "count"] + [f"q{c}" for c in range(self.num_classes)])
             for i in range(self.n_instances):
-                writer.writerow([i, int(self.update_counts[i])]
-                                + [f"{v:.17g}" for v in self.q[i]])
+                writer.writerow([i, int(counts[i])] + [f"{v:.17g}" for v in q[i]])

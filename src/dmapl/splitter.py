@@ -45,7 +45,8 @@ class SplitResult:
 
 def split_target(source_model: Model, target_train: Dataset, p_th: float) -> SplitResult:
     """Split by max predicted probability >= p_th (boundary instances are
-    confident). Deterministic; argmax ties go to the lowest class index."""
+    confident). Deterministic; argmax ties go to the lowest class index. The
+    returned arrays are read-only."""
     if not (0.0 < p_th < 1.0):
         raise ValueError("p_th must be in (0, 1)")
     if target_train.n == 0:
@@ -62,9 +63,14 @@ def split_target(source_model: Model, target_train: Dataset, p_th: float) -> Spl
     if unlabeled_indices.size == 0:
         warnings.warn("unlabeled subset is empty; adaptation degenerates to "
                       "supervised fine-tuning on the confident subset")
+    pseudo_labels = predicted[labeled_indices].astype(np.int64)
+    # read-only, so the frozen labels stay frozen through adaptation, with or
+    # without `python -O`
+    for arr in (labeled_indices, pseudo_labels, unlabeled_indices):
+        arr.setflags(write=False)
     return SplitResult(
         labeled_indices=labeled_indices,
-        pseudo_labels=predicted[labeled_indices].astype(np.int64),
+        pseudo_labels=pseudo_labels,
         unlabeled_indices=unlabeled_indices,
         threshold_used=p_th,
     )

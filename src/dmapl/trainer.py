@@ -5,6 +5,9 @@ Every routine is deterministic in (config, seed, data): one PCG64 stream per
 run drives initialization and every shuffle, and no wall-clock state leaks
 into the numerics. Adaptation splits the target training set exactly once,
 with the source model, and never touches the frozen pseudo-labels afterwards.
+Configs that differ only in alpha, beta and lambda adapt in lockstep: one
+loop over parameters stacked along a leading cell axis, each cell computing
+exactly what its own run computes.
 """
 
 from __future__ import annotations
@@ -199,12 +202,11 @@ def train_source(source_train: Dataset, source_val: Dataset,
         ce_sum = 0.0
         for b in range(iters_per_epoch):
             idx = perm[b * config.batch_size_l:(b + 1) * config.batch_size_l]
-            x = source_train.features[idx]
-            _, _, probs = model.forward(x)
-            loss, grad = labeled_ce(probs, source_train.labels[idx])
+            cache = model.forward(source_train.features[idx])
+            loss, grad = labeled_ce(cache.probs, source_train.labels[idx])
             if not math.isfinite(loss):
                 raise DivergenceError("non-finite source training loss")
-            opt.step(model, model.backward(x, grad), t)
+            opt.step(model, model.backward(cache, grad), t)
             t += 1
             ce_sum += loss
         val_acc = evaluate(model, source_val).micro
@@ -218,37 +220,96 @@ def train_source(source_train: Dataset, source_val: Dataset,
     return best_model, record
 
 
-def _moving_average_adapt(source_model: Model, target_train: Dataset, config: TrainConfig,
-                          diagnostic_labels: np.ndarray | None, eval_data: Dataset | None,
-                          use_split: bool,
-                          snapshot_dir: str | None = None) -> tuple[Model, RunRecord, SoftLabelStore | None]:
-    """Shared loop for the full method (use_split) and the no-split ablation.
+def _lockstep_key(config: TrainConfig) -> TrainConfig:
+    """Configs with equal keys share the split, the schedule and the
+    batch-index sequence, so they can be adapted in one lockstep loop: they
+    differ at most in alpha, beta and lambda."""
+    return replace(config, alpha=0.5, beta=0.5, lam=0.0)
+
+
+def _unwrap(outcome):
+    """The (model, record) of one adaptation outcome, or raise its error."""
+    if isinstance(outcome, DmaplError):
+        raise outcome
+    return outcome
+
+
+def _moving_average_adapt(source_model: Model, target_train: Dataset,
+                          configs: list[TrainConfig], diagnostic_labels: np.ndarray | None,
+                          eval_data: Dataset | None, use_split: bool,
+                          snapshot_dir: str | None = None) -> list:
+    """The full method (use_split) and the no-split ablation for K configs
+    with one `_lockstep_key`. They share the split and the batch-index
+    sequence, so they run in lockstep (see `_lockstep`). Returns
+    per config (model, record), or the DmaplError that config's run raised.
+
+    A diverging cell is dropped and the rest of the group runs again from
+    the start; a cell's numbers never depend on the other cells.
+    """
+    if not configs:
+        raise ValueError("no configs to adapt")
+    if any(_lockstep_key(c) != _lockstep_key(configs[0]) for c in configs):
+        raise ValueError("configs adapted together may differ only in alpha, beta and lambda")
+    if snapshot_dir is not None and len(configs) > 1:
+        raise ValueError("soft-label snapshots are written for a single config only")
+    if use_split:
+        try:
+            split = split_target(source_model, target_train, configs[0].p_th)
+        except DmaplError as exc:
+            return [exc] * len(configs)
+        subsets = (split.labeled_indices, split.pseudo_labels, split.unlabeled_indices,
+                   split_diagnostics(split, diagnostic_labels))
+    else:
+        subsets = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                   np.arange(target_train.n), None)
+
+    outcomes: list = [None] * len(configs)
+    alive = list(range(len(configs)))
+    while alive:
+        try:
+            results = _lockstep(source_model, target_train, [configs[i] for i in alive],
+                                *subsets, eval_data, snapshot_dir)
+        except DivergenceError as exc:
+            for i, diverged in zip(alive, exc.cells):
+                if diverged:
+                    outcomes[i] = exc
+            alive = [i for i, diverged in zip(alive, exc.cells) if not diverged]
+        else:
+            for i, result in zip(alive, results):
+                outcomes[i] = result
+            break
+    return outcomes
+
+
+def _lockstep(source_model: Model, target_train: Dataset, configs: list[TrainConfig],
+              labeled_idx: np.ndarray, frozen_labels: np.ndarray, unlabeled_idx: np.ndarray,
+              split_record: dict | None, eval_data: Dataset | None,
+              snapshot_dir: str | None) -> list[tuple[Model, RunRecord]]:
+    """The adaptation loop, for K >= 1 cells at once.
+
+    Parameters, optimizer state, centroids and soft labels carry a leading
+    cell axis; per-cell alpha, beta and lambda broadcast over it. Each cell's
+    slice computes exactly what a run of that config alone computes.
 
     Per iteration: forward the joint batch, pick pseudo-labels (frozen ones
     for confident members, current argmax for unlabeled), update centroids
     with the batch's normalized features, assign prototypes with the updated
     centroids, update soft labels, then take the combined gradient step.
-    Soft-label updates wait until every class centroid has been initialized;
-    until then unlabeled rows carry zero mass and are inert in the loss.
+    A cell's soft-label updates wait until every one of its class centroids
+    has been initialized; until then its unlabeled rows carry zero mass and
+    are inert in the loss. Non-finite logits, losses or gradients raise
+    DivergenceError naming the cells.
     """
     start = time.perf_counter()
+    config = configs[0]
+    cells = len(configs)
     rng = make_rng(config.seed)
-    model = source_model.copy()
+    model = Model.stack([source_model] * cells)
     num_classes = model.config.num_classes
-    record = RunRecord(config=config.to_dict(), seed=config.seed, mode=config.mode)
+    records = [RunRecord(config=c.to_dict(), seed=c.seed, mode=c.mode,
+                         split=None if split_record is None else dict(split_record))
+               for c in configs]
 
-    if use_split:
-        split = split_target(source_model, target_train, config.p_th)
-        labeled_idx = split.labeled_indices
-        frozen_labels = split.pseudo_labels
-        unlabeled_idx = split.unlabeled_indices
-        record.split = split_diagnostics(split, diagnostic_labels)
-    else:
-        labeled_idx = np.empty(0, dtype=np.int64)
-        frozen_labels = np.empty(0, dtype=np.int64)
-        unlabeled_idx = np.arange(target_train.n)
-
-    frozen_snapshot = frozen_labels.copy()
     n_l, n_u = labeled_idx.size, unlabeled_idx.size
     if n_u > 0:
         iters_per_epoch = math.ceil(n_u / config.batch_size_u)
@@ -257,8 +318,10 @@ def _moving_average_adapt(source_model: Model, target_train: Dataset, config: Tr
     opt = SgdMomentum(model, config.momentum, config.weight_decay, config.eta_0,
                       config.eta_1, config.adapt_epochs * iters_per_epoch,
                       config.encoder_lr_scale)
-    bank = CentroidBank(num_classes, model.config.bottleneck_dim, config.alpha)
-    store = SoftLabelStore(n_u, num_classes, config.beta) if n_u else None
+    bank = CentroidBank(num_classes, model.config.bottleneck_dim, [c.alpha for c in configs])
+    store = SoftLabelStore(n_u, num_classes, [c.beta for c in configs]) if n_u else None
+    lam = np.array([c.lam for c in configs])
+    lam_rows = lam[:, None, None]
     cycler = _Cycler(n_l, rng) if n_l > config.batch_size_l else None
 
     t = 0
@@ -266,7 +329,8 @@ def _moving_average_adapt(source_model: Model, target_train: Dataset, config: Tr
         u_perm = rng.permutation(n_u)
         # degenerate all-confident case: one pass over the confident subset instead
         l_perm = rng.permutation(n_l) if n_u == 0 else None
-        sums = {"loss_l": 0.0, "loss_u": 0.0, "loss_total": 0.0}
+        sums = {"loss_l": np.zeros(cells), "loss_u": np.zeros(cells),
+                "loss_total": np.zeros(cells)}
         for b in range(iters_per_epoch):
             if n_u > 0:
                 u_pos = u_perm[b * config.batch_size_u:(b + 1) * config.batch_size_u]
@@ -276,71 +340,98 @@ def _moving_average_adapt(source_model: Model, target_train: Dataset, config: Tr
                 u_pos = np.empty(0, dtype=np.int64)
                 l_pos = l_perm[b * config.batch_size_l:(b + 1) * config.batch_size_l]
             nl = l_pos.size
+            labels = frozen_labels[l_pos]
             x = np.vstack([target_train.features[labeled_idx[l_pos]],
                            target_train.features[unlabeled_idx[u_pos]]])
-            features, logits, probs = model.forward(x)
-            z = l2_normalize_rows(features)
-            pseudo = np.concatenate([frozen_labels[l_pos],
-                                     probs[nl:].argmax(axis=1)]).astype(np.int64)
-            means, present = class_feature_means(z, pseudo, num_classes)
-            bank.update(means, present)
-            if store is not None and u_pos.size and bank.all_initialized:
-                store.update(u_pos, bank.assign(z[nl:]))
+            cache = model.forward(x)
+            probs = cache.probs
+            z = l2_normalize_rows(cache.features)
+            pseudo = np.empty(probs.shape[:-1], dtype=np.int64)
+            pseudo[:, :nl] = labels
+            pseudo[:, nl:] = probs[:, nl:].argmax(axis=-1)
+            bank.update(*class_feature_means(z, pseudo, num_classes))
+            if store is not None and u_pos.size:
+                warm = bank.warm
+                if warm.any():
+                    ready = None if warm.all() else warm
+                    store.update(u_pos, bank.assign(z[:, nl:], ready), ready)
 
-            grad_logits = np.zeros_like(logits)
+            grad_logits = np.zeros_like(cache.logits)
             if nl:
-                loss_l, g_l = labeled_ce(probs[:nl], frozen_labels[l_pos])
-                grad_logits[:nl] = config.lam * g_l
+                loss_l, g_l = labeled_ce(probs[:, :nl], labels)
+                grad_logits[:, :nl] = lam_rows * g_l
             else:
                 loss_l = 0.0
             if u_pos.size:
-                loss_u, g_u = soft_ce(probs[nl:], store.q[u_pos])
-                grad_logits[nl:] = g_u
+                loss_u, g_u = soft_ce(probs[:, nl:], store.q[:, u_pos])
+                grad_logits[:, nl:] = g_u
             else:
                 loss_u = 0.0
-            report = total_loss(loss_u, loss_l, config.lam)
-            if not math.isfinite(report.total):
-                raise DivergenceError("non-finite adaptation loss")
-            opt.step(model, model.backward(x, grad_logits), t)
+            report = total_loss(loss_u, loss_l, lam)
+            diverged = ~np.isfinite(report.total)
+            if diverged.any():
+                raise DivergenceError("non-finite adaptation loss", diverged)
+            opt.step(model, model.backward(cache, grad_logits), t)
             t += 1
             sums["loss_l"] += report.loss_l
             sums["loss_u"] += report.loss_u
             sums["loss_total"] += report.total
-        assert np.array_equal(frozen_labels, frozen_snapshot), \
-            "frozen pseudo-labels were modified during adaptation"
-        entry = {"epoch": epoch, "lr": opt.lr_at(t - 1)}
-        entry.update({k: v / iters_per_epoch for k, v in sums.items()})
-        if eval_data is not None:
-            metrics = evaluate(model, eval_data)
-            entry["test_macro"] = metrics.macro
-            entry["test_micro"] = metrics.micro
-        record.epochs.append(entry)
+        lr = opt.lr_at(t - 1)
+        for k, record in enumerate(records):
+            entry = {"epoch": epoch, "lr": lr}
+            entry.update({name: float(v[k]) / iters_per_epoch for name, v in sums.items()})
+            if eval_data is not None:
+                metrics = _evaluate_cell(model.cell(k), k, cells, eval_data)
+                entry["test_macro"] = metrics.macro
+                entry["test_micro"] = metrics.micro
+            record.epochs.append(entry)
         if snapshot_dir is not None and store is not None:
             store.save_csv(os.path.join(snapshot_dir, f"soft_labels_epoch{epoch:03d}.csv"))
 
-    record.final = {k: record.epochs[-1][k] for k in ("loss_l", "loss_u", "loss_total")}
-    if eval_data is not None:
-        metrics = evaluate(model, eval_data)
-        record.final["test_macro"] = metrics.macro
-        record.final["test_micro"] = metrics.micro
-    record.wall_clock_sec = time.perf_counter() - start
-    return model, record, store
+    results = []
+    for k, record in enumerate(records):
+        adapted = model.cell(k)
+        record.final = {key: record.epochs[-1][key] for key in ("loss_l", "loss_u", "loss_total")}
+        if eval_data is not None:
+            metrics = _evaluate_cell(adapted, k, cells, eval_data)
+            record.final["test_macro"] = metrics.macro
+            record.final["test_micro"] = metrics.micro
+        record.wall_clock_sec = time.perf_counter() - start
+        results.append((adapted, record))
+    return results
 
 
-def adapt_dmapl(source_model: Model, target_train: Dataset, config: TrainConfig,
+def _evaluate_cell(model: Model, k: int, cells: int, eval_data: Dataset):
+    """Test metrics of cell `k`'s model; if its logits are non-finite, the
+    DivergenceError names that cell alone."""
+    try:
+        return evaluate(model, eval_data)
+    except DivergenceError as exc:
+        raise DivergenceError(str(exc), np.arange(cells) == k) from None
+
+
+def adapt_dmapl(source_model: Model, target_train: Dataset,
+                config: TrainConfig | list[TrainConfig],
                 diagnostic_labels: np.ndarray | None = None,
                 eval_data: Dataset | None = None,
-                snapshot_dir: str | None = None) -> tuple[Model, RunRecord]:
+                snapshot_dir: str | None = None) -> tuple[Model, RunRecord] | list:
     """Full adaptation: split once with the source model, then fine-tune with
     the dual moving-average objective. `diagnostic_labels` only feeds the
     split diagnostics; `eval_data` only adds test metrics to the record;
-    `snapshot_dir` dumps a per-epoch soft-label CSV for audits."""
-    if config.mode != "dmapl":
+    `snapshot_dir` dumps a per-epoch soft-label CSV for audits.
+
+    Returns (model, record). `config` may also be a list of configs that
+    differ only in alpha, beta and lambda: they share one split and run in
+    lockstep, and the result is a list holding, per config, (model, record)
+    or the DmaplError its run raised. Each is bit-identical to the run of
+    that config alone.
+    """
+    configs = [config] if isinstance(config, TrainConfig) else list(config)
+    if any(c.mode != "dmapl" for c in configs):
         raise ValueError("adapt_dmapl requires config.mode == 'dmapl'")
-    model, record, _ = _moving_average_adapt(source_model, target_train, config,
-                                             diagnostic_labels, eval_data, use_split=True,
-                                             snapshot_dir=snapshot_dir)
-    return model, record
+    outcomes = _moving_average_adapt(source_model, target_train, configs, diagnostic_labels,
+                                     eval_data, use_split=True, snapshot_dir=snapshot_dir)
+    return _unwrap(outcomes[0]) if isinstance(config, TrainConfig) else outcomes
 
 
 def _naive_pseudo_label_adapt(source_model: Model, target_train: Dataset, config: TrainConfig,
@@ -362,12 +453,11 @@ def _naive_pseudo_label_adapt(source_model: Model, target_train: Dataset, config
         ce_sum = 0.0
         for b in range(iters_per_epoch):
             idx = perm[b * config.batch_size_l:(b + 1) * config.batch_size_l]
-            x = target_train.features[idx]
-            _, _, probs = model.forward(x)
-            loss, grad = labeled_ce(probs, labels[idx])
+            cache = model.forward(target_train.features[idx])
+            loss, grad = labeled_ce(cache.probs, labels[idx])
             if not math.isfinite(loss):
                 raise DivergenceError("non-finite naive pseudo-labeling loss")
-            opt.step(model, model.backward(x, grad), t)
+            opt.step(model, model.backward(cache, grad), t)
             t += 1
             ce_sum += loss
         entry = {"epoch": epoch, "loss_l": ce_sum / iters_per_epoch, "loss_u": 0.0,
@@ -404,10 +494,9 @@ def adapt_ablation(source_model: Model, target_train: Dataset, config: TrainConf
     if config.mode == "naive_pl":
         return _naive_pseudo_label_adapt(source_model, target_train, config, eval_data)
     if config.mode == "soft_label_no_split":
-        model, record, _ = _moving_average_adapt(source_model, target_train, config,
-                                                 diagnostic_labels, eval_data, use_split=False,
-                                                 snapshot_dir=snapshot_dir)
-        return model, record
+        return _unwrap(_moving_average_adapt(source_model, target_train, [config],
+                                             diagnostic_labels, eval_data, use_split=False,
+                                             snapshot_dir=snapshot_dir)[0])
     raise ValueError("adapt_ablation requires an ablation mode")
 
 
@@ -478,22 +567,34 @@ def run_experiment(spec: DomainShiftSpec, config: TrainConfig,
 SWEEPABLE = ("p_th", "alpha", "beta", "lambda")
 
 
+def _cell_config(base: TrainConfig, keys: list[str], cell: tuple) -> TrainConfig:
+    overrides = {("lam" if k == "lambda" else k): v for k, v in zip(keys, cell)}
+    try:
+        return replace(base, **overrides)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"grid cell {dict(zip(keys, cell))}: {exc}") from None
+
+
 def _sweep_one_seed(args: tuple) -> list[dict]:
-    spec, base_config, keys, cells, seed = args
-    spec = replace(spec, seed=seed)
-    config = replace(base_config, seed=seed)
+    spec, config, keys, cells, cell_configs = args
     bench = prepare_benchmark(spec)
     source_model, _ = train_source(bench.source_train, bench.source_val, config)
+    target = bench.target_train.without_labels()
+    groups: dict[TrainConfig, list[int]] = {}
+    for i, cell_config in enumerate(cell_configs):
+        groups.setdefault(_lockstep_key(cell_config), []).append(i)
+    outcomes: list = [None] * len(cells)
+    for members in groups.values():
+        results = adapt_dmapl(source_model, target, [cell_configs[i] for i in members],
+                              diagnostic_labels=bench.target_train.labels)
+        for i, result in zip(members, results):
+            outcomes[i] = result
     rows = []
-    for cell in cells:
-        overrides = {("lam" if k == "lambda" else k): v for k, v in zip(keys, cell)}
-        cell_config = replace(config, **overrides)
+    for cell, outcome in zip(cells, outcomes):
         row = {k: v for k, v in zip(keys, cell)}
-        row["seed"] = seed
+        row["seed"] = config.seed
         try:
-            adapted, record = adapt_dmapl(source_model, bench.target_train.without_labels(),
-                                          cell_config,
-                                          diagnostic_labels=bench.target_train.labels)
+            adapted, record = _unwrap(outcome)
             metrics = evaluate(adapted, bench.target_test)
             row.update(ratio=record.split["ratio"], pl_acc=record.split["pl_accuracy"],
                        test_acc=metrics.micro, error=None)
@@ -507,8 +608,11 @@ def sweep(spec: DomainShiftSpec, base_config: TrainConfig, grid: dict[str, list]
           seeds: list[int] | None = None, jobs: int = 1) -> list[dict]:
     """One adaptation run per (grid cell, seed). The source model is trained
     once per seed and shared across cells (the sweepable parameters only touch
-    adaptation). A failing cell is recorded with its error and the sweep
-    continues. Rows come back in deterministic (seed, cell) order."""
+    adaptation). Cells of one seed that share `p_th` share the split too and
+    run in lockstep through `adapt_dmapl`; every row is bit-identical to a
+    run of its cell alone. Every cell's config is validated before any
+    training. A cell that fails at runtime is recorded with its error and the
+    sweep continues. Rows come back in deterministic (seed, cell) order."""
     if not grid:
         raise ValueError("empty grid")
     unknown = set(grid) - set(SWEEPABLE)
@@ -522,7 +626,11 @@ def sweep(spec: DomainShiftSpec, base_config: TrainConfig, grid: dict[str, list]
     cells = list(itertools.product(*(grid[k] for k in keys)))
     if seeds is None:
         seeds = [base_config.seed]
-    work = [(spec, base_config, keys, cells, seed) for seed in seeds]
+    work = []
+    for seed in seeds:
+        config = replace(base_config, seed=seed)
+        work.append((replace(spec, seed=seed), config, keys, cells,
+                     [_cell_config(config, keys, cell) for cell in cells]))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_seed = list(pool.map(_sweep_one_seed, work))

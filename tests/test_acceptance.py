@@ -128,9 +128,9 @@ def test_criterion_3_gradient_checks():
                 _, _, probs = model.forward(x)
                 return labeled_ce(probs, labels)[0]
 
-            _, _, probs = model.forward(x)
-            _, logit_grad = labeled_ce(probs, labels)
-            analytic = model.backward(x, logit_grad)
+            cache = model.forward(x)
+            _, logit_grad = labeled_ce(cache.probs, labels)
+            analytic = model.backward(cache, logit_grad)
             for name, param in model.params.items():
                 numeric = np.zeros_like(param)
                 it = np.nditer(param, flags=["multi_index"])

@@ -112,3 +112,22 @@ def test_total_loss_combination():
     assert total_loss(2.0, 1.0, 0.01).total == pytest.approx(2.01, abs=1e-15)
     with pytest.raises(ValueError):
         total_loss(1.0, 1.0, -0.5)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 9])
+def test_stacked_losses_equal_per_cell_losses(cells):
+    # 40 rows, so the batch means sum pairwise; the inputs are views and
+    # gathers of larger stacks, as in the adaptation loop
+    rng = make_rng(21)
+    probs = softmax(rng.normal(size=(cells, 80, 4)), axis=-1)[:, 40:]
+    labels = rng.integers(0, 4, size=40)
+    q = (rng.random((cells, 100, 4)) * 0.5)[:, rng.permutation(100)[:40]]
+    loss_l, g_l = labeled_ce(probs, labels)
+    loss_u, g_u = soft_ce(probs, q)
+    assert loss_l.shape == loss_u.shape == (cells,)
+    for k in range(cells):
+        single_l, single_g_l = labeled_ce(np.ascontiguousarray(probs[k]), labels)
+        single_u, single_g_u = soft_ce(np.ascontiguousarray(probs[k]), np.ascontiguousarray(q[k]))
+        assert loss_l[k] == single_l and loss_u[k] == single_u
+        np.testing.assert_array_equal(g_l[k], single_g_l)
+        np.testing.assert_array_equal(g_u[k], single_g_u)

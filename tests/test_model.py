@@ -85,7 +85,7 @@ def test_forward_shape_mismatch_errors():
 def test_backward_zero_grad_gives_zero():
     model = small_model()
     x = make_rng(2).normal(size=(4, 3))
-    grads = model.backward(x, np.zeros((4, 3)))
+    grads = model.backward(model.forward(x), np.zeros((4, 3)))
     for g in grads.values():
         np.testing.assert_array_equal(g, 0.0)
 
@@ -100,7 +100,7 @@ def test_backward_matches_finite_differences():
         def loss_of_logits(logits, w=w):
             return float((w * logits).sum())
 
-        analytic = model.backward(x, w)
+        analytic = model.backward(model.forward(x), w)
         numeric = finite_diff_grads(model, x, loss_of_logits)
         for name in analytic:
             assert rel_err(analytic[name], numeric[name]) < 1e-4, name
@@ -233,3 +233,54 @@ def test_init_is_deterministic_in_seed():
     b = small_model(seed=9)
     for k in a.params:
         np.testing.assert_array_equal(a.params[k], b.params[k])
+
+
+# ---- stacked parameters (one cell per slice) ----
+
+def test_stacked_model_slices_equal_single_models_bit_for_bit():
+    models = [small_model(seed=s) for s in range(3)]
+    stacked = Model.stack(models)
+    assert stacked.params["enc0.b"].shape == (3, 1, 5)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(7, 3))
+    g = rng.normal(size=(3, 7, 3))
+    cache = stacked.forward(x)
+    grads = stacked.backward(cache, g)
+    opt_stacked = SgdMomentum(stacked, 0.9, 1e-3, 0.1, 0.01, 10)
+    opt_stacked.step(stacked, grads, 3)
+    for k, model in enumerate(models):
+        single = model.forward(x)
+        np.testing.assert_array_equal(cache.probs[k], single.probs)
+        np.testing.assert_array_equal(cache.features[k], single.features)
+        single_grads = model.backward(single, g[k])
+        for name in model.params:
+            np.testing.assert_array_equal(grads[name][k].reshape(model.params[name].shape),
+                                          single_grads[name])
+        opt = SgdMomentum(model, 0.9, 1e-3, 0.1, 0.01, 10)
+        opt.step(model, single_grads, 3)
+        cell = stacked.cell(k)
+        for name in model.params:
+            np.testing.assert_array_equal(cell.params[name], model.params[name])
+
+
+def test_nonfinite_logits_raise_divergence_naming_cells():
+    models = [small_model(seed=s) for s in range(3)]
+    models[1].params["classifier.b"][0] = np.inf
+    with pytest.raises(DivergenceError, match="non-finite logits") as info:
+        Model.stack(models).forward(np.ones((2, 3)))
+    assert info.value.cells.tolist() == [False, True, False]
+    with pytest.raises(DivergenceError, match="non-finite logits") as info:
+        models[1].forward(np.ones((2, 3)))
+    assert info.value.cells is None
+
+
+def test_stacked_sgd_nonfinite_gradient_names_cells_and_moves_nothing():
+    stacked = Model.stack([small_model(seed=s) for s in range(2)])
+    before = {k: v.copy() for k, v in stacked.params.items()}
+    grads = {k: np.zeros_like(v) for k, v in stacked.params.items()}
+    grads["classifier.W"][1, 0, 0] = np.nan
+    with pytest.raises(DivergenceError, match="classifier.W") as info:
+        SgdMomentum(stacked).step(stacked, grads, 0)
+    assert info.value.cells.tolist() == [False, True]
+    for k in before:
+        np.testing.assert_array_equal(stacked.params[k], before[k])

@@ -82,7 +82,11 @@ def test_zero_norm_blend_skips_and_counts():
     # mu is zero and the batch mean is zero: blend is degenerate
     bank.update(np.array([[0.0, 0.0]]), np.array([True]))
     assert bank.degenerate_skips == 1
+    assert type(bank.degenerate_skips) is int
     assert not bank.initialized[0]
+    stacked = CentroidBank(1, 2, alpha=[0.9, 0.9])
+    stacked.update(np.array([[[0.0, 0.0]], [[1.0, 0.0]]]), np.array([[True], [True]]))
+    assert stacked.degenerate_skips.tolist() == [1, 0]
 
 
 def test_unit_norm_after_random_updates():
@@ -227,3 +231,82 @@ def test_store_csv_snapshot(tmp_path):
     assert (idx, count) == ("0", "1")
     assert float(q0) == 0.0 and float(q1) == pytest.approx(0.1, abs=1e-15)
     assert lines[2] == "1,0,0,0"
+
+
+def test_stacked_store_csv_snapshot_writes_its_single_cell(tmp_path):
+    single = SoftLabelStore(3, 2, beta=0.9)
+    stacked = SoftLabelStore(3, 2, beta=[0.9])
+    for store in (single, stacked):
+        store.update(np.array([2]), one_hot(np.array([0]), 2).reshape(store.q[..., :1, :].shape))
+    single.save_csv(str(tmp_path / "single.csv"))
+    stacked.save_csv(str(tmp_path / "stacked.csv"))
+    assert (tmp_path / "single.csv").read_text() == (tmp_path / "stacked.csv").read_text()
+    with pytest.raises(ValueError, match="single cell"):
+        SoftLabelStore(3, 2, beta=[0.9, 0.5]).save_csv(str(tmp_path / "two.csv"))
+
+
+# ---- stacked cells ----
+
+def test_stacked_means_equal_per_cell_means():
+    rng = make_rng(11)
+    z = np.stack([unit_rows(rng, 20, 3) for _ in range(4)])
+    labels = rng.integers(0, 5, size=(4, 20))
+    labels[2] = 1  # one cell sees a single class
+    means, present = class_feature_means(z, labels, 5)
+    assert means.shape == (4, 5, 3) and present.shape == (4, 5)
+    for k in range(4):
+        m, p = class_feature_means(z[k], labels[k], 5)
+        np.testing.assert_array_equal(means[k], m)
+        np.testing.assert_array_equal(present[k], p)
+        for c in np.flatnonzero(p):
+            np.testing.assert_array_equal(m[c], z[k][labels[k] == c].mean(axis=0))
+
+
+def test_means_reject_out_of_range_labels():
+    with pytest.raises(ValueError, match="out of range"):
+        class_feature_means(np.ones((2, 2)), np.array([0, 3]), 3)
+
+
+def test_stacked_bank_and_store_equal_per_cell_objects():
+    rng = make_rng(12)
+    alphas, betas = [0.5, 0.9, 0.99], [0.3, 0.6, 0.9]
+    bank = CentroidBank(3, 4, alphas)
+    store = SoftLabelStore(10, 3, betas)
+    banks = [CentroidBank(3, 4, a) for a in alphas]
+    stores = [SoftLabelStore(10, 3, b) for b in betas]
+    mixed = 0
+    for step in range(12):
+        z = np.stack([unit_rows(rng, 8, 4) for _ in alphas])
+        labels = rng.integers(0, 3, size=(3, 8))
+        labels[0, :] = 0 if step < 3 else labels[0]  # cell 0 warms up later
+        bank.update(*class_feature_means(z, labels, 3))
+        for k, b in enumerate(banks):
+            b.update(*class_feature_means(z[k], labels[k], 3))
+            np.testing.assert_array_equal(bank.mu[k], b.mu)
+            assert bank.warm[k] == b.all_initialized
+        idx = rng.permutation(10)[:4]
+        warm = bank.warm
+        mixed += bool(warm.any() and not warm.all())
+        if warm.any():
+            store.update(idx, bank.assign(z[:, :4], warm), warm)
+            for k, (b, s) in enumerate(zip(banks, stores)):
+                if warm[k]:
+                    s.update(idx, b.assign(z[k, :4]))
+    assert mixed > 0 and bank.warm.all()
+    for k, s in enumerate(stores):
+        np.testing.assert_array_equal(store.q[k], s.q)
+        np.testing.assert_array_equal(store.update_counts[k], s.update_counts)
+        np.testing.assert_allclose(store.q[k].sum(axis=1),
+                                   1.0 - betas[k] ** s.update_counts, atol=1e-12)
+
+
+def test_stacked_assign_requires_warm_cells():
+    bank = CentroidBank(2, 2, [0.9, 0.9])
+    bank.update(np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]]),
+                np.array([[True, True], [True, False]]))
+    assert bank.warm.tolist() == [True, False]
+    z = np.ones((2, 3, 2)) / np.sqrt(2.0)
+    assert bank.assign(z, np.array([True, False])).shape == (1, 3, 2)
+    # cell 1 lacks class 1 while cell 0 has it: the message still names it
+    with pytest.raises(RuntimeError, match=r"not warmed up \(classes \[1\] never seen\)"):
+        bank.assign(z)
