@@ -152,9 +152,8 @@ def cmd_adapt(args: argparse.Namespace) -> int:
                           diagnostic_labels=truth, eval_data=eval_data,
                           snapshot_dir=snapshot_dir)
     save_model(model, os.path.join(args.out, "adapted_model.txt"))
-    if config.mode in ("dmapl",):
-        result = split_target(source_model, target_train, config.p_th)
-        save_split_csv(result, os.path.join(args.out, "split.csv"))
+    if record.split_result is not None:
+        save_split_csv(record.split_result, os.path.join(args.out, "split.csv"))
     record.save(args.out)
     print(record.summary_json())
     return 0

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .numkit import DmaplError, make_rng
 
 
 class CsvFormatError(DmaplError):
-    """Malformed dataset CSV (ragged row, bad number, label out of range)."""
+    """Malformed dataset CSV (ragged row, bad or non-finite number, label out
+    of range)."""
 
 
 @dataclass
@@ -195,62 +197,97 @@ def stratified_split(data: Dataset, ratio: float, seed: int) -> tuple[Dataset, D
 
 
 def save_csv(data: Dataset, path: str) -> None:
-    """Write the dataset as CSV: header f0..f{d-1}[,label], 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"f{j}" for j in range(data.dim)]
-        if data.is_labeled:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [f"{v:.17g}" for v in data.features[i]]
-            if data.is_labeled:
-                row.append(str(int(data.labels[i])))
-            writer.writerow(row)
+    """Write the dataset as CSV: header f0..f{d-1}[,label], then one row per
+    sample, features at 17 significant digits, CRLF line ends."""
+    header = [f"f{j}" for j in range(data.dim)]
+    columns, formats = [data.features], [textio.FLOAT]
+    if data.is_labeled:
+        header.append("label")
+        columns.append(data.labels)
+        formats.append(textio.INT)
+    textio.write_csv(path, header, columns, formats)
 
 
 def load_csv(path: str, num_classes: int | None = None, domain_tag: str = "") -> Dataset:
     """Load a dataset CSV written by save_csv (or hand-made in that format).
 
     With `num_classes` given, labels are validated against it; otherwise the
-    class count is inferred as max(label)+1 (0 for unlabeled files).
+    class count is inferred as max(label)+1 (0 for unlabeled files). Empty
+    lines are skipped. Any other malformed input (a ragged row, a feature
+    that is not a finite number, a label that is not an integer in range)
+    raises CsvFormatError naming the file and the line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        has_label = bool(header) and header[-1] == "label"
-        dim = len(header) - (1 if has_label else 0)
-        if dim < 1:
-            raise CsvFormatError(f"{path}: header declares no feature columns")
-        feats: list[list[float]] = []
-        labels: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not a text file ({exc.reason})") from None
+    if not text:
+        raise CsvFormatError(f"{path}: empty file")
+    lines = text.split("\n")
+    try:
+        header = [h.strip() for h in next(csv.reader(lines[:1]), [])]
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: line 1: {exc}") from None
+    has_label = bool(header) and header[-1] == "label"
+    dim = len(header) - (1 if has_label else 0)
+    if dim < 1:
+        raise CsvFormatError(f"{path}: header declares no feature columns")
+    body = lines[1:]
+    columns = [(np.float64, dim)] + ([(np.int64, 1)] if has_label else [])
+    try:
+        parsed = textio.read_rows(body, columns, textio.CSV)
+    except ValueError:
+        raise CsvFormatError(f"{path}: {_malformed_line(body, columns, len(header))}") from None
+    features = parsed[0]
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        raise CsvFormatError(
+            f"{path}: line {_line_number(body, bad.argmax())}: non-finite feature value")
+    label_arr = parsed[1][:, 0] if has_label else None
+    if has_label:
+        bad = label_arr < 0
+        if bad.any():
+            raise CsvFormatError(f"{path}: line {_line_number(body, bad.argmax())}: negative label")
+        if num_classes is not None:
+            bad = label_arr >= num_classes
+            if bad.any():
+                k = bad.argmax()
                 raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                feats.append([float(v) for v in row[:dim]])
-            except ValueError:
-                raise CsvFormatError(f"{path}: line {lineno}: non-numeric feature value") from None
-            if has_label:
-                try:
-                    lab = int(row[dim])
-                except ValueError:
-                    raise CsvFormatError(f"{path}: line {lineno}: non-integer label") from None
-                if lab < 0:
-                    raise CsvFormatError(f"{path}: line {lineno}: negative label")
-                if num_classes is not None and lab >= num_classes:
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}: label {lab} out of range for {num_classes} classes")
-                labels.append(lab)
-    features = np.asarray(feats, dtype=np.float64).reshape(len(feats), dim)
-    label_arr = np.asarray(labels, dtype=np.int64) if has_label else None
+                    f"{path}: line {_line_number(body, k)}: label {label_arr[k]} "
+                    f"out of range for {num_classes} classes")
     if num_classes is None:
         num_classes = int(label_arr.max()) + 1 if has_label and label_arr.size else 0
     return Dataset(features, label_arr, num_classes, domain_tag)
+
+
+def _line_number(body: list[str], row: int) -> int:
+    """File line number of data row `row`: rows skip empty lines, and the
+    body starts on line 2."""
+    return [i for i, line in enumerate(body, start=2) if line][row]
+
+
+def _malformed_line(body: list[str], columns: list[tuple[type, int]], width: int) -> str:
+    """What is wrong with the first data line that does not parse, and where.
+    Runs only after the whole-file parse has rejected the file."""
+    for lineno, line in enumerate(body, start=2):
+        try:
+            textio.read_rows([line], columns, textio.CSV)
+        except ValueError:
+            break
+    else:
+        return "malformed data"
+    try:
+        row = next(csv.reader([line]))
+    except csv.Error as exc:
+        return f"line {lineno}: {exc}"
+    if len(row) != width:
+        return f"line {lineno}: expected {width} fields, got {len(row)}"
+    for j, field in enumerate(row):
+        kind, what = ((np.float64, "non-numeric feature value") if j < columns[0][1]
+                      else (np.int64, "label is not a 64-bit integer"))
+        try:
+            textio.read_rows([field], [(kind, 1)], textio.CSV)
+        except ValueError:
+            return f"line {lineno}: {what} {field!r}"
+    return f"line {lineno}: malformed row"

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .numkit import DmaplError, softmax
 
 
@@ -44,6 +45,18 @@ class ModelConfig:
         dims = (self.input_dim, *self.hidden_dims, self.bottleneck_dim, self.num_classes)
         if any(d < 1 for d in dims):
             raise ValueError("all layer dims must be >= 1")
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every parameter, in declared order: per layer
+        (encoder layers, bottleneck, classifier) a (fan_in, fan_out) weight
+        `<layer>.W` and a (fan_out,) bias `<layer>.b`."""
+        dims = (self.input_dim, *self.hidden_dims, self.bottleneck_dim, self.num_classes)
+        layers = [f"enc{i}" for i in range(len(self.hidden_dims))] + ["bottleneck", "classifier"]
+        shapes: dict[str, tuple[int, ...]] = {}
+        for layer, fan_in, fan_out in zip(layers, dims, dims[1:]):
+            shapes[f"{layer}.W"] = (fan_in, fan_out)
+            shapes[f"{layer}.b"] = (fan_out,)
+        return shapes
 
 
 def _glorot(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -89,16 +102,8 @@ class Model:
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "Model":
         """Glorot-uniform weights, zero biases, drawn from the given rng."""
-        params: dict[str, np.ndarray] = {}
-        prev = config.input_dim
-        for i, width in enumerate(config.hidden_dims):
-            params[f"enc{i}.W"] = _glorot(prev, width, rng)
-            params[f"enc{i}.b"] = np.zeros(width)
-            prev = width
-        params["bottleneck.W"] = _glorot(prev, config.bottleneck_dim, rng)
-        params["bottleneck.b"] = np.zeros(config.bottleneck_dim)
-        params["classifier.W"] = _glorot(config.bottleneck_dim, config.num_classes, rng)
-        params["classifier.b"] = np.zeros(config.num_classes)
+        params = {name: _glorot(*shape, rng) if len(shape) == 2 else np.zeros(shape)
+                  for name, shape in config.param_shapes().items()}
         return cls(config, params)
 
     def copy(self) -> "Model":
@@ -267,16 +272,20 @@ def save_model(model: Model, path: str) -> None:
         for name, arr in model.params.items():
             rows, cols = (arr.shape if arr.ndim == 2 else (1, arr.shape[0]))
             fh.write(f"param {name} {rows} {cols}\n")
-            flat = arr.reshape(rows, cols)
-            for r in range(rows):
-                fh.write(" ".join(f"{v:.17g}" for v in flat[r]) + "\n")
+            textio.write_rows(fh, [arr.reshape(rows, cols)], [textio.FLOAT], textio.ROWS)
 
 
 def load_model(path: str, expected_config: ModelConfig | None = None) -> Model:
     """Read a save_model file back. With `expected_config`, the architecture
-    must match exactly or a ModelFormatError is raised."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    must match exactly. Any malformed or mismatching file raises
+    ModelFormatError."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not a text file ({exc.reason})") from None
+    if lines[-1] == "":
+        lines.pop()
     if not lines or not lines[0].startswith("dmapl-model v"):
         raise ModelFormatError(f"{path}: not a model file")
     version = lines[0].removeprefix("dmapl-model v")
@@ -304,33 +313,54 @@ def load_model(path: str, expected_config: ModelConfig | None = None) -> Model:
     if expected_config is not None and config != expected_config:
         raise ModelFormatError(f"{path}: architecture {config} does not match expected {expected_config}")
 
+    shapes = config.param_shapes()
     params: dict[str, np.ndarray] = {}
     while i < len(lines):
         parts = lines[i].split()
         if len(parts) != 4 or parts[0] != "param":
             raise ModelFormatError(f"{path}: line {i + 1}: expected a param header")
-        name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-        data = []
-        for r in range(rows):
-            i += 1
-            if i >= len(lines):
-                raise ModelFormatError(f"{path}: truncated parameter block '{name}'")
-            try:
-                data.append([float(v) for v in lines[i].split()])
-            except ValueError:
-                raise ModelFormatError(f"{path}: line {i + 1}: bad float") from None
-            if len(data[-1]) != cols:
-                raise ModelFormatError(f"{path}: line {i + 1}: expected {cols} values")
-        arr = np.asarray(data, dtype=np.float64)
-        params[name] = arr[0] if name.endswith(".b") else arr
-        i += 1
-
-    reference = Model.init(config, np.random.default_rng(0))
-    if list(params.keys()) != reference.param_names:
-        raise ModelFormatError(
-            f"{path}: parameter blocks {list(params.keys())} do not match architecture {reference.param_names}")
-    for name, ref in reference.params.items():
-        if params[name].shape != ref.shape:
+        name = parts[1]
+        if name not in shapes:
             raise ModelFormatError(
-                f"{path}: parameter '{name}' has shape {params[name].shape}, expected {ref.shape}")
+                f"{path}: line {i + 1}: parameter '{name}' is not in architecture {list(shapes)}")
+        try:
+            rows, cols = int(parts[2]), int(parts[3])
+        except ValueError:
+            raise ModelFormatError(f"{path}: line {i + 1}: bad parameter shape") from None
+        shape = shapes[name]
+        if (rows, cols) != (shape if len(shape) == 2 else (1, *shape)):
+            raise ModelFormatError(
+                f"{path}: parameter '{name}' has shape ({rows}, {cols}), expected {shape}")
+        block = lines[i + 1:i + 1 + rows]
+        if len(block) < rows:
+            raise ModelFormatError(f"{path}: truncated parameter block '{name}'")
+        values = None
+        # a row of `cols` floats is parsed only once the file shows that many values,
+        # so a corrupt header cannot make the parser allocate more than the file holds
+        if len(block[0].split()) == cols:
+            try:
+                (values,) = textio.read_rows(block, [(np.float64, cols)], textio.ROWS)
+            except ValueError:
+                pass
+        if values is None or len(values) != rows:
+            raise ModelFormatError(f"{path}: {_malformed_line(block, i + 2, cols)}")
+        params[name] = values.reshape(shape)
+        i += rows + 1
+
+    if list(params.keys()) != list(shapes):
+        raise ModelFormatError(
+            f"{path}: parameter blocks {list(params.keys())} do not match architecture {list(shapes)}")
     return Model(config, params)
+
+
+def _malformed_line(block: list[str], first_lineno: int, cols: int) -> str:
+    """What is wrong with the first line of a parameter block that does not
+    parse, and where. Runs only after the whole-block parse has rejected it."""
+    for lineno, line in enumerate(block, start=first_lineno):
+        if len(line.split()) != cols:
+            return f"line {lineno}: expected {cols} values"
+        try:
+            textio.read_rows([line], [(np.float64, cols)], textio.ROWS)
+        except ValueError:
+            return f"line {lineno}: bad float"
+    return f"line {first_lineno}: malformed parameter block"

@@ -11,10 +11,9 @@ t one-hot updates the L1 mass of an instance's soft label is exactly 1 - beta^t.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
+from . import textio
 from .numkit import ZERO_NORM_EPS, one_hot
 
 
@@ -183,9 +182,6 @@ class SoftLabelStore:
         counts = self.update_counts.reshape(-1, self.n_instances)
         if len(q) != 1:
             raise ValueError(f"soft-label snapshot needs a single cell, store has {len(q)}")
-        q, counts = q[0], counts[0]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "count"] + [f"q{c}" for c in range(self.num_classes)])
-            for i in range(self.n_instances):
-                writer.writerow([i, int(counts[i])] + [f"{v:.17g}" for v in q[i]])
+        header = ["index", "count"] + [f"q{c}" for c in range(self.num_classes)]
+        textio.write_csv(path, header, [np.arange(self.n_instances), counts[0], q[0]],
+                         [textio.INT, textio.INT, textio.FLOAT])

@@ -8,12 +8,12 @@ frozen for the whole run); the rest form the unlabeled subset.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .datasets import Dataset
 from .model import Model
 from .numkit import DmaplError
@@ -91,14 +91,12 @@ def split_diagnostics(split: SplitResult, true_labels: np.ndarray | None = None)
 
 
 def save_split_csv(split: SplitResult, path: str) -> None:
-    """Audit export: one row per target-train instance (index, subset, pseudo_label)."""
-    rows = {}
-    for idx, lab in zip(split.labeled_indices, split.pseudo_labels):
-        rows[int(idx)] = ("labeled", str(int(lab)))
-    for idx in split.unlabeled_indices:
-        rows[int(idx)] = ("unlabeled", "")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "subset", "pseudo_label"])
-        for idx in sorted(rows):
-            writer.writerow([idx, *rows[idx]])
+    """Audit export: one row per target-train instance, in index order
+    (index, subset, pseudo_label; the label is empty for unlabeled rows)."""
+    n_l, n_u = split.labeled_indices.size, split.unlabeled_indices.size
+    index = np.concatenate([split.labeled_indices, split.unlabeled_indices])
+    subset = np.repeat(["labeled", "unlabeled"], [n_l, n_u])
+    label = np.concatenate([split.pseudo_labels.astype(str), np.full(n_u, "")])
+    order = np.argsort(index, kind="stable")
+    textio.write_csv(path, ["index", "subset", "pseudo_label"],
+                     [index[order], subset[order], label[order]], [textio.INT, "%s", "%s"])

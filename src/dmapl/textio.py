@@ -1,0 +1,99 @@
+"""The text codec behind every numeric file: dataset CSVs, soft-label
+snapshots, split audits and model files.
+
+Each file is rows of numbers in plain text. Floats are written with 17
+significant digits (`%.17g`), which round-trips every float64 exactly;
+integers with `%d`. Two dialects cover the files: `CSV` (comma and CRLF
+line ends, as `csv.writer` writes them; `"`-quoted fields are read) and
+`ROWS`, the space-separated rows of model files.
+
+Writing formats each distinct value of a column once, then the block of
+rows with one `%` operation and one `write`. Reading parses every numeric
+field of a block with one `np.loadtxt` call, numpy's C parser, which
+converts a float field with the same correctly rounded algorithm as
+Python's `float`. It reads ASCII decimal numbers; a field that only
+Python's `float` or `int` would take (digit-group underscores, non-ASCII
+digits) is rejected.
+"""
+
+from __future__ import annotations
+
+import warnings
+from typing import NamedTuple
+
+import numpy as np
+
+FLOAT = "%.17g"
+INT = "%d"
+
+# Values formatted per `%` operation. Every file of the benchmark-sized runs
+# fits in one; larger files go out in chunks, so the temporary Python objects
+# stay bounded.
+_CHUNK_VALUES = 1 << 16
+
+
+class Dialect(NamedTuple):
+    """Field delimiter, line terminator and quote character of a format.
+    A whitespace delimiter reads as any run of whitespace."""
+
+    delimiter: str
+    newline: str
+    quotechar: str | None
+
+
+CSV = Dialect(",", "\r\n", '"')
+ROWS = Dialect(" ", "\n", None)
+
+
+def write_rows(fh, columns: list[np.ndarray], formats: list[str], dialect: Dialect) -> None:
+    """Write one line per row to the open text file `fh`. Each column is an
+    (n,) or (n, k) array, all with the same n; each of its k values per row
+    is formatted with the column's `%` format. Nothing is quoted, so string
+    values must hold neither the delimiter nor a line break."""
+    blocks = [np.asarray(c).reshape(len(c), -1) for c in columns]
+    n, width = len(blocks[0]), sum(b.shape[1] for b in blocks)
+    line = dialect.delimiter.join(["%s"] * width) + dialect.newline
+    step = max(1, _CHUNK_VALUES // width)
+    for lo in range(0, n, step):
+        texts = np.hstack([_format(b[lo:lo + step], fmt) for b, fmt in zip(blocks, formats)])
+        fh.write(line * len(texts) % tuple(texts.ravel().tolist()))
+
+
+def _format(block: np.ndarray, fmt: str) -> np.ndarray:
+    """`fmt % v` for every value of `block`, as strings in an object array of
+    the same shape. Each distinct value is formatted once, because a
+    soft-label snapshot holds only a handful of them; floats are told apart
+    by their bits, so 0.0 and -0.0 keep their own text."""
+    flat = block.ravel()
+    if flat.dtype.kind == "f":
+        bits, inverse = np.unique(flat.view(f"i{flat.itemsize}"), return_inverse=True)
+        distinct = bits.view(flat.dtype).tolist()
+    else:
+        distinct, inverse = np.unique(flat, return_inverse=True)
+        distinct = distinct.tolist()
+    texts = ((fmt + "\n") * len(distinct) % tuple(distinct)).split("\n")[:-1]
+    return np.array(texts, dtype=object)[inverse.ravel()].reshape(block.shape)
+
+
+def write_csv(path: str, header: list[str], columns: list[np.ndarray],
+              formats: list[str]) -> None:
+    """A CSV file: the header line, then `write_rows` in the CSV dialect."""
+    with open(path, "w", newline="") as fh:
+        fh.write(CSV.delimiter.join(header) + CSV.newline)
+        write_rows(fh, columns, formats, CSV)
+
+
+def read_rows(lines: list[str], columns: list[tuple[type, int]],
+              dialect: Dialect) -> list[np.ndarray]:
+    """Parse text lines into one contiguous (n, k) array per (dtype, k)
+    column spec, with one `np.loadtxt` call. Empty lines are skipped, so n
+    counts the others. Raises ValueError if any line has the wrong number of
+    fields or a field that does not parse as its column's dtype."""
+    dtype = np.dtype([(f"c{j}", kind, (k,)) for j, (kind, k) in enumerate(columns)])
+    delimiter = None if dialect.delimiter.isspace() else dialect.delimiter
+    with warnings.catch_warnings():
+        # loadtxt warns about input without data; no rows is a valid result here
+        warnings.simplefilter("ignore", UserWarning)
+        table = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
+                           quotechar=dialect.quotechar, ndmin=1)
+    return [np.ascontiguousarray(table[name]) for name in dtype.names]

@@ -28,7 +28,7 @@ from .losses import labeled_ce, soft_ce, total_loss
 from .model import DivergenceError, Model, ModelConfig, SgdMomentum
 from .numkit import DmaplError, l2_normalize_rows, make_rng
 from .pseudolabel import CentroidBank, SoftLabelStore, class_feature_means
-from .splitter import split_diagnostics, split_target
+from .splitter import SplitResult, split_diagnostics, split_target
 
 MODES = ("dmapl", "source_only", "naive_pl", "soft_label_no_split")
 
@@ -114,7 +114,9 @@ class TrainConfig:
 class RunRecord:
     """Append-only log of one run: config snapshot, per-epoch aggregates,
     split diagnostics and final figures. Wall clock is kept out of the
-    summary so identical seeds serialize to identical summaries."""
+    summary so identical seeds serialize to identical summaries.
+    `split_result` is the split a dmapl run adapted with (None for other
+    modes); it is for audit exports and not part of the summary."""
 
     config: dict
     seed: int
@@ -123,6 +125,7 @@ class RunRecord:
     epochs: list[dict] = field(default_factory=list)
     final: dict = field(default_factory=dict)
     wall_clock_sec: float = 0.0
+    split_result: SplitResult | None = field(default=None, repr=False, compare=False)
 
     def summary(self) -> dict:
         return {
@@ -258,10 +261,10 @@ def _moving_average_adapt(source_model: Model, target_train: Dataset,
         except DmaplError as exc:
             return [exc] * len(configs)
         subsets = (split.labeled_indices, split.pseudo_labels, split.unlabeled_indices,
-                   split_diagnostics(split, diagnostic_labels))
+                   split_diagnostics(split, diagnostic_labels), split)
     else:
         subsets = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                   np.arange(target_train.n), None)
+                   np.arange(target_train.n), None, None)
 
     outcomes: list = [None] * len(configs)
     alive = list(range(len(configs)))
@@ -283,8 +286,8 @@ def _moving_average_adapt(source_model: Model, target_train: Dataset,
 
 def _lockstep(source_model: Model, target_train: Dataset, configs: list[TrainConfig],
               labeled_idx: np.ndarray, frozen_labels: np.ndarray, unlabeled_idx: np.ndarray,
-              split_record: dict | None, eval_data: Dataset | None,
-              snapshot_dir: str | None) -> list[tuple[Model, RunRecord]]:
+              split_record: dict | None, split_result: SplitResult | None,
+              eval_data: Dataset | None, snapshot_dir: str | None) -> list[tuple[Model, RunRecord]]:
     """The adaptation loop, for K >= 1 cells at once.
 
     Parameters, optimizer state, centroids and soft labels carry a leading
@@ -307,7 +310,8 @@ def _lockstep(source_model: Model, target_train: Dataset, configs: list[TrainCon
     model = Model.stack([source_model] * cells)
     num_classes = model.config.num_classes
     records = [RunRecord(config=c.to_dict(), seed=c.seed, mode=c.mode,
-                         split=None if split_record is None else dict(split_record))
+                         split=None if split_record is None else dict(split_record),
+                         split_result=split_result)
                for c in configs]
 
     n_l, n_u = labeled_idx.size, unlabeled_idx.size

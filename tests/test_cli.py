@@ -4,10 +4,13 @@ import os
 import numpy as np
 import pytest
 
+import dmapl.cli
+import dmapl.trainer
 from dmapl.cli import main
 from dmapl.datasets import load_csv
 from dmapl.evaluation import evaluate
 from dmapl.model import load_model
+from dmapl.splitter import save_split_csv, split_target
 
 
 def run_cli(*argv):
@@ -138,6 +141,26 @@ def test_adapt_full_run_outputs(data_dir, source_dir, tmp_path):
     assert len(snapshots) == 4
     split_lines = (out / "split.csv").read_text().strip().splitlines()
     assert len(split_lines) == load_csv(str(data_dir / "target_train.csv")).n + 1
+
+
+def test_adapt_splits_once_and_exports_that_split(data_dir, source_dir, tmp_path, monkeypatch):
+    calls = []
+
+    def counting_split(*args, **kwargs):
+        calls.append(args)
+        return split_target(*args, **kwargs)
+
+    for module in (dmapl.trainer, dmapl.cli):
+        monkeypatch.setattr(module, "split_target", counting_split)
+    out = tmp_path / "once"
+    assert run_cli("adapt", "--source-model", source_dir / "source_model.txt",
+                   "--target-train", data_dir / "target_train.csv",
+                   "--out", out, "--seed", 3, "--adapt-epochs", 2) == 0
+    assert len(calls) == 1
+    model = load_model(str(source_dir / "source_model.txt"))
+    target = load_csv(str(data_dir / "target_train.csv"), num_classes=4)
+    save_split_csv(split_target(model, target, 0.9), str(tmp_path / "fresh.csv"))
+    assert (out / "split.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_adapt_config_file_with_flag_override(data_dir, source_dir, tmp_path):

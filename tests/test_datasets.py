@@ -153,3 +153,13 @@ def test_csv_errors_name_the_line(tmp_path):
     empty.write_text("")
     with pytest.raises(CsvFormatError, match="empty"):
         load_csv(str(empty))
+
+
+def test_csv_rejects_non_finite_features(tmp_path):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("f0,f1\n1.0,nan\ninf,2\n")
+    with pytest.raises(CsvFormatError, match="nonfinite.csv: line 2: non-finite"):
+        load_csv(str(path))
+    path.write_text("f0,f1\n1.0,2.0\n\ninf,2\n")
+    with pytest.raises(CsvFormatError, match="line 4: non-finite"):
+        load_csv(str(path))

@@ -221,6 +221,16 @@ def test_load_wrong_layer_count(tmp_path):
         load_model(str(path))
 
 
+def test_load_bad_param_header_raises_format_error(tmp_path):
+    path = tmp_path / "m.txt"
+    save_model(small_model(), str(path))
+    text = path.read_text()
+    assert "param enc0.W 3 5\n" in text
+    path.write_text(text.replace("param enc0.W 3 5\n", "param enc0.W x 5\n"))
+    with pytest.raises(ModelFormatError, match="line 7: bad parameter shape"):
+        load_model(str(path))
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
