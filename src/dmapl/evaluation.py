@@ -58,8 +58,7 @@ def evaluate(model: Model, test: Dataset) -> Metrics:
         raise ValueError("model and test set disagree on the class count")
     predictions = model.predict(test.features)
     c = test.num_classes
-    confusion = np.zeros((c, c), dtype=np.int64)
-    np.add.at(confusion, (test.labels, predictions), 1)
+    confusion = np.bincount(test.labels * c + predictions, minlength=c * c).reshape(c, c)
     return confusion_metrics(confusion)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import one_hot
+from .numkit import any_outside
 
 # probabilities are clamped here before the log so the loss stays bounded
 PROB_CLAMP = 1e-12
@@ -42,10 +42,16 @@ def labeled_ce(probs: np.ndarray, pseudo_labels: np.ndarray) -> tuple[float, np.
         raise ValueError("empty batch")
     if labels.shape != (n,):
         raise ValueError("labels must align with probability rows")
+    if any_outside(labels, p.shape[-1]):
+        raise ValueError("label out of range")
+    at_label = (..., np.arange(n), labels)
+    picked = p[at_label]
+    # (p - onehot(labels)) / n: only the label entries differ from p / n
+    grad = p / n
+    grad[at_label] = (picked - 1.0) / n
     # contiguous rows, so each cell's mean sums in the same order as a 1-D one
-    picked = np.ascontiguousarray(np.clip(p[..., np.arange(n), labels], PROB_CLAMP, None))
-    loss = -np.log(picked).mean(axis=-1)
-    grad = (p - one_hot(labels, p.shape[-1])) / n
+    logp = np.log(np.maximum(np.ascontiguousarray(picked), PROB_CLAMP))
+    loss = -(np.add.reduce(logp, axis=-1) / n)
     return (float(loss) if loss.ndim == 0 else loss), grad
 
 
@@ -63,17 +69,17 @@ def soft_ce(probs: np.ndarray, q_batch: np.ndarray) -> tuple[float, np.ndarray]:
         raise ValueError("empty batch")
     if q.shape != p.shape:
         raise ValueError("soft labels must align with probability rows")
-    if (q < 0).any():
+    if np.logical_or.reduce(q < 0, axis=None):
         raise ValueError("corrupt soft label (negative entry)")
-    logp = np.log(np.clip(p, PROB_CLAMP, None))
-    loss = -(q * logp).sum(axis=-1).mean(axis=-1)
-    grad = (q.sum(axis=-1, keepdims=True) * p - q) / n
+    logp = np.log(np.maximum(p, PROB_CLAMP))
+    loss = -(np.add.reduce(np.add.reduce(q * logp, axis=-1), axis=-1) / n)
+    grad = (np.add.reduce(q, axis=-1, keepdims=True) * p - q) / n
     return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 def total_loss(loss_u: float, loss_l: float, lam: float) -> LossReport:
     """Combined objective: loss_u + lam * loss_l (the trade-off weight sits on
     the labeled term). Per-cell (K,) arrays combine elementwise."""
-    if (np.asarray(lam) < 0).any():
+    if np.logical_or.reduce(np.asarray(lam) < 0, axis=None):
         raise ValueError("lambda must be >= 0")
     return LossReport(loss_l=loss_l, loss_u=loss_u, total=loss_u + lam * loss_l, lam=lam)

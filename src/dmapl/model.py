@@ -1,13 +1,16 @@
 """The prediction model: ReLU-MLP encoder, linear bottleneck, linear classifier.
 
 Forward, hand-derived backprop, SGD with momentum and decoupled weight decay,
-and the cosine learning-rate schedule. Parameters live in a flat name->array
-dict so the optimizer and serialization stay simple. Weight decay applies to
+and the cosine learning-rate schedule. A model's parameters live in one
+float64 buffer `Model.flat`, in declared order; `Model.params` maps each name
+to a view of it. Backprop writes into one gradient buffer of that layout, and
+the optimizer updates the whole buffer at once. Weight decay applies to
 weight matrices only, never biases.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -64,9 +67,48 @@ def _glorot(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _t(m: np.ndarray) -> np.ndarray:
-    """Transpose the last two axes (a plain transpose for a matrix)."""
-    return np.swapaxes(m, -1, -2)
+@functools.lru_cache(maxsize=None)
+def _layout(config: ModelConfig) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """(name, start, stop, shape) of every parameter in the flat buffer."""
+    layout, start = [], 0
+    for name, shape in config.param_shapes().items():
+        layout.append((name, start, start + math.prod(shape), shape))
+        start += math.prod(shape)
+    return tuple(layout)
+
+
+def _views(flat: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
+    """Name -> view of `flat`, a (P,) buffer or a (K, P) stack of cells.
+    Stacked biases are (K, 1, fan_out) so they broadcast over batch rows."""
+    lead = flat.shape[:-1]
+    row = (1,) if lead else ()
+    return {name: flat[..., start:stop].reshape(lead + (row if len(shape) == 1 else ()) + shape)
+            for name, start, stop, shape in _layout(config)}
+
+
+def _flatten(config: ModelConfig, arrays: dict[str, np.ndarray],
+             lead: tuple[int, ...]) -> np.ndarray:
+    """A new (*lead, P) buffer holding `arrays`, each shaped like its view."""
+    flat = np.empty(lead + (_layout(config)[-1][2],))
+    for name, view in _views(flat, config).items():
+        if np.shape(arrays[name]) != view.shape:
+            raise ValueError(
+                f"parameter '{name}' has shape {np.shape(arrays[name])}, expected {view.shape}")
+        view[...] = arrays[name]
+    return flat
+
+
+def _layer_pairs(views: dict[str, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) of every layer, input to output."""
+    return [(views[name], views[name[:-1] + "b"]) for name in views if name.endswith(".W")]
+
+
+class Gradients(dict):
+    """Name -> gradient, every value a view of the one buffer `flat`."""
+
+    def __init__(self, flat: np.ndarray, config: ModelConfig):
+        super().__init__(_views(flat, config))
+        self.flat = flat
 
 
 @dataclass
@@ -95,9 +137,18 @@ class Model:
 
     FORMAT_VERSION = 1
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
+    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray] | None = None,
+                 flat: np.ndarray | None = None):
+        """Copy `params` (one model's, or a stack's with a leading cell
+        axis) into a new flat buffer, or adopt `flat` itself as the buffer."""
+        if flat is None:
+            first_weight = params[_layout(config)[0][0]]
+            flat = _flatten(config, params, np.shape(first_weight)[:-2])
         self.config = config
-        self.params = params
+        self.flat = flat
+        self.params = _views(flat, config)
+        self._grads = Gradients(np.empty_like(flat), config)
+        self._layers, self._grad_layers = _layer_pairs(self.params), _layer_pairs(self._grads)
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "Model":
@@ -107,29 +158,20 @@ class Model:
         return cls(config, params)
 
     def copy(self) -> "Model":
-        return Model(self.config, {k: v.copy() for k, v in self.params.items()})
-
-    @property
-    def param_names(self) -> list[str]:
-        return list(self.params.keys())
+        return Model(self.config, flat=self.flat.copy())
 
     @classmethod
     def stack(cls, models: list["Model"]) -> "Model":
         """K models of one architecture as one model whose parameters carry a
-        leading cell axis: weights (K, fan_in, fan_out), biases (K, 1, fan_out)
-        so they broadcast over batch rows. `forward`, `backward` and
-        `SgdMomentum` then work on all K cells at once, each slice computing
-        exactly what the single model would."""
-        params = {}
-        for name, p in models[0].params.items():
-            stacked = np.stack([m.params[name] for m in models])
-            params[name] = stacked[:, None, :] if p.ndim == 1 else stacked
-        return cls(models[0].config, params)
+        leading cell axis: `flat` is (K, P), weights (K, fan_in, fan_out),
+        biases (K, 1, fan_out) so they broadcast over batch rows. `forward`,
+        `backward` and `SgdMomentum` then work on all K cells at once, each
+        slice computing exactly what the single model would."""
+        return cls(models[0].config, flat=np.stack([m.flat for m in models]))
 
     def cell(self, k: int) -> "Model":
         """Cell `k` of a stacked model, as an ordinary model."""
-        return Model(self.config, {name: (p[k, 0] if name.endswith(".b") else p[k]).copy()
-                                   for name, p in self.params.items()})
+        return Model(self.config, flat=self.flat[k].copy())
 
     def forward(self, batch: np.ndarray) -> Activations:
         """Forward a (n, input_dim) batch. The result unpacks as
@@ -141,17 +183,18 @@ class Model:
                 f"batch shape {x.shape} does not match input dim {self.config.input_dim}")
         # in-place bias and ReLU: one new array per layer, which matters once
         # a stack of cells makes the activations large
+        *encoder, (w_bottleneck, b_bottleneck), (w_classifier, b_classifier) = self._layers
         inputs = [x]
         a = x
-        for i in range(len(self.config.hidden_dims)):
-            a = a @ self.params[f"enc{i}.W"]
-            a += self.params[f"enc{i}.b"]
+        for w, b in encoder:
+            a = a @ w
+            a += b
             np.maximum(a, 0.0, out=a)
             inputs.append(a)
-        features = a @ self.params["bottleneck.W"]
-        features += self.params["bottleneck.b"]
-        logits = features @ self.params["classifier.W"]
-        logits += self.params["classifier.b"]
+        features = a @ w_bottleneck
+        features += b_bottleneck
+        logits = features @ w_classifier
+        logits += b_classifier
         try:
             probs = softmax(logits, axis=-1)
         except ValueError:
@@ -163,37 +206,37 @@ class Model:
                                   ~finite.all(axis=(1, 2)) if logits.ndim == 3 else None) from None
         return Activations(inputs, features, logits, probs)
 
-    def backward(self, cache: Activations, loss_grad_on_logits: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache: Activations, loss_grad_on_logits: np.ndarray) -> Gradients:
         """Exact gradients of the forward computation w.r.t. every parameter.
 
         `cache` is the forward pass of the batch; `loss_grad_on_logits` is
         dLoss/dlogits for it (already carrying any batch-mean normalization).
-        ReLU subgradient at 0 is 0.
+        ReLU subgradient at 0 is 0. The gradients are written into the one
+        buffer the model allocated with its parameters: the next `backward`
+        of this model overwrites the returned arrays.
         """
         g = np.asarray(loss_grad_on_logits, dtype=np.float64)
         if g.shape != cache.logits.shape:
             raise ValueError(
                 f"loss gradient shape {g.shape} does not match logits {cache.logits.shape}")
-        params = self.params
-        grads: dict[str, np.ndarray] = {}
-        grads["classifier.W"] = _t(cache.features) @ g
-        grads["classifier.b"] = g.sum(axis=-2).reshape(params["classifier.b"].shape)
-        d = g @ _t(params["classifier.W"])
-        grads["bottleneck.W"] = _t(cache.inputs[-1]) @ d
-        grads["bottleneck.b"] = d.sum(axis=-2).reshape(params["bottleneck.b"].shape)
-        above = "bottleneck.W"
-        for i in reversed(range(len(self.config.hidden_dims))):
-            d = d @ _t(params[above])
-            d *= cache.inputs[i + 1] > 0  # ReLU'(h) = 1 exactly where relu(h) > 0
-            grads[f"enc{i}.W"] = _t(cache.inputs[i]) @ d
-            grads[f"enc{i}.b"] = d.sum(axis=-2).reshape(params[f"enc{i}.b"].shape)
-            above = f"enc{i}.W"
-        return grads
+        layer_inputs = [*cache.inputs, cache.features]
+        top = len(self._layers) - 1
+        d = g
+        for j in range(top, -1, -1):
+            grad_w, grad_b = self._grad_layers[j]
+            if j < top - 1:
+                d *= layer_inputs[j + 1] > 0  # ReLU'(h) = 1 exactly where relu(h) > 0
+            np.matmul(layer_inputs[j].swapaxes(-1, -2), d, out=grad_w)
+            np.add.reduce(d, axis=-2, out=grad_b, keepdims=self.flat.ndim == 2)
+            if j:
+                d = d @ self._layers[j][0].swapaxes(-1, -2)
+        return self._grads
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
-        """Argmax class per row; ties go to the lowest class index."""
+        """Argmax class per row (per cell row for stacked parameters); ties go
+        to the lowest class index."""
         _, logits, _ = self.forward(batch)
-        return logits.argmax(axis=1)
+        return logits.argmax(axis=-1)
 
 
 def cosine_lr(t: int, total_steps: int, eta_0: float, eta_1: float) -> float:
@@ -222,39 +265,50 @@ class SgdMomentum:
     param    <- param - lr(t) * velocity
 
     `encoder_lr_scale` keeps the two-parameter-group option (backbone vs head)
-    available in configs; 1.0 collapses to a single group.
+    available in configs; 1.0 collapses to a single group. Velocity, weight
+    decay and learning-rate scale are vectors laid out like `Model.flat`.
     """
 
     def __init__(self, model: Model, momentum: float = 0.9, weight_decay: float = 1e-3,
                  eta_0: float = 1e-2, eta_1: float = 1e-3, total_steps: int = 1,
                  encoder_lr_scale: float = 1.0):
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self.eta_0 = eta_0
         self.eta_1 = eta_1
         self.total_steps = total_steps
-        self.encoder_lr_scale = encoder_lr_scale
-        self.velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+        self._velocity, self._scratch = np.zeros_like(model.flat), np.empty_like(model.flat)
+        self.velocity = _views(self._velocity, model.config)
+        self._decay, self._lr_scale = np.zeros(model.flat.shape[-1]), np.ones(model.flat.shape[-1])
+        for name, start, stop, _ in _layout(model.config):
+            self._decay[start:stop] = weight_decay if name.endswith(".W") else 0.0
+            self._lr_scale[start:stop] = encoder_lr_scale if name.startswith("enc") else 1.0
 
     def lr_at(self, t: int) -> float:
         return cosine_lr(min(t, self.total_steps), self.total_steps, self.eta_0, self.eta_1)
 
     def step(self, model: Model, grads: dict[str, np.ndarray], t: int) -> None:
-        """One update of every parameter. Gradients are checked before any
-        parameter moves; a non-finite block raises DivergenceError naming it
-        (with stacked parameters, for the cells whose block is non-finite)."""
-        for name, param in model.params.items():
-            finite = np.isfinite(grads[name])
-            if not finite.all():
-                raise DivergenceError(f"divergence detected in parameter block '{name}'",
-                                      ~finite.all(axis=(1, 2)) if param.ndim == 3 else None)
+        """One update of every parameter from `Model.backward`'s gradients or
+        any name -> array dict. Gradients are checked before any parameter
+        moves; a non-finite block raises DivergenceError naming it (with
+        stacked parameters, for the cells whose block is non-finite)."""
+        g = grads.flat if isinstance(grads, Gradients) else _flatten(
+            model.config, grads, model.flat.shape[:-1])
+        if not np.logical_and.reduce(np.isfinite(g), axis=None):
+            for name, param in model.params.items():
+                finite = np.isfinite(grads[name])
+                if not finite.all():
+                    raise DivergenceError(f"divergence detected in parameter block '{name}'",
+                                          ~finite.all(axis=(1, 2)) if param.ndim == 3 else None)
         lr = self.lr_at(t)
-        for name, param in model.params.items():
-            grad = grads[name]
-            decay = self.weight_decay if name.endswith(".W") else 0.0
-            self.velocity[name] = self.momentum * self.velocity[name] + (grad + decay * param)
-            scale = self.encoder_lr_scale if name.startswith("enc") else 1.0
-            param -= lr * scale * self.velocity[name]
+        # velocity = momentum * velocity + (grad + decay * param); param -= (lr * scale) * velocity
+        buf, velocity = self._scratch, self._velocity
+        np.multiply(self._decay, model.flat, out=buf)
+        buf += g
+        velocity *= self.momentum
+        velocity += buf
+        np.multiply(self._lr_scale, lr, out=buf)
+        buf *= velocity
+        model.flat -= buf
 
 
 def save_model(model: Model, path: str) -> None:
@@ -344,6 +398,10 @@ def load_model(path: str, expected_config: ModelConfig | None = None) -> Model:
                 pass
         if values is None or len(values) != rows:
             raise ModelFormatError(f"{path}: {_malformed_line(block, i + 2, cols)}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad_row = np.flatnonzero(~finite.all(axis=-1))[0]
+            raise ModelFormatError(f"{path}: line {i + 2 + bad_row}: non-finite value in '{name}'")
         params[name] = values.reshape(shape)
         i += rows + 1
 

@@ -33,11 +33,10 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim == 0 or z.shape[axis] == 0:
         raise ValueError("empty logits")
-    if not np.all(np.isfinite(z)):
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError("non-finite logits")
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -57,18 +56,25 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     degenerate feature row then simply contributes nothing downstream.
     """
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=-1, keepdims=True)
-    safe = np.where(norms > ZERO_NORM_EPS, norms, 1.0)
-    out = m / safe
+    norms = np.sqrt(np.add.reduce(m * m, axis=-1, keepdims=True))  # np.linalg.norm(m, axis=-1)
+    out = m / np.where(norms > ZERO_NORM_EPS, norms, 1.0)
     out[norms[..., 0] <= ZERO_NORM_EPS] = 0.0
     return out
+
+
+def any_outside(values: np.ndarray, bound: int) -> bool:
+    """Whether an integer array holds a value outside [0, bound), with one
+    reduction: cast to int64 and viewed as uint64, a negative value is at
+    least 2**63."""
+    values = np.asarray(values, dtype=np.int64)
+    return bool(values.size) and np.maximum.reduce(values.view(np.uint64), axis=None) >= bound
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Integer class labels of any shape -> one-hot float64 array with a
     trailing class axis: (n,) -> (n, num_classes)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+    if any_outside(labels, num_classes):
         raise ValueError("label out of range")
     out = np.zeros(labels.shape + (num_classes,))
     out.reshape(-1, num_classes)[np.arange(labels.size), labels.ravel()] = 1.0

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import textio
-from .numkit import ZERO_NORM_EPS, one_hot
+from .numkit import ZERO_NORM_EPS, any_outside, one_hot
 
 
 def class_feature_means(z_batch: np.ndarray, pseudo_labels: np.ndarray,
@@ -31,17 +31,18 @@ def class_feature_means(z_batch: np.ndarray, pseudo_labels: np.ndarray,
     labels = np.asarray(pseudo_labels, dtype=np.int64)
     if labels.shape != z.shape[:-1] or labels.ndim not in (1, 2):
         raise ValueError("pseudo_labels must align with z_batch rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+    if any_outside(labels, num_classes):
         raise ValueError("pseudo-label out of range")
-    # one bin per (cell, class), filled in batch order
+    # one bin per (cell, class); bincount adds its weights in input order,
+    # so every (cell, class, dim) sum runs in batch order
     cells = labels.shape[0] if labels.ndim == 2 else 1
     offsets = num_classes * np.arange(cells)[:, None] if labels.ndim == 2 else 0
     bins = (labels + offsets).ravel()
     dim = z.shape[-1]
-    sums = np.zeros((cells * num_classes, dim))
-    np.add.at(sums, bins, z.reshape(-1, dim))
+    sums = np.bincount((bins[:, None] * dim + np.arange(dim)).ravel(), z.ravel(),
+                       cells * num_classes * dim)
     counts = np.bincount(bins, minlength=cells * num_classes)
-    means = sums / np.maximum(counts, 1)[:, None]
+    means = sums.reshape(-1, dim) / np.maximum(counts, 1)[:, None]
     lead = labels.shape[:-1]
     return means.reshape(lead + (num_classes, dim)), (counts > 0).reshape(lead + (num_classes,))
 
@@ -81,7 +82,7 @@ class CentroidBank:
     @property
     def warm(self) -> np.ndarray:
         """Whether every class centroid is initialized, per cell."""
-        return self.initialized.all(axis=-1)
+        return np.logical_and.reduce(self.initialized, axis=-1)
 
     @property
     def all_initialized(self) -> bool:
@@ -103,7 +104,7 @@ class CentroidBank:
         # a stacked dot per row, which sums like the 1-D np.linalg.norm
         norm = np.sqrt((blend[..., None, :] @ blend[..., :, None])[..., 0, 0])
         degenerate = norm <= ZERO_NORM_EPS
-        skipped = (present & degenerate).sum(axis=-1)
+        skipped = np.add.reduce(present & degenerate, axis=-1)
         self.degenerate_skips += skipped if skipped.ndim else int(skipped)
         moved = present & ~degenerate
         self.mu = np.where(moved[..., None], blend / np.where(moved, norm, 1.0)[..., None],
@@ -121,11 +122,11 @@ class CentroidBank:
         z = np.asarray(z_batch, dtype=np.float64)
         if cells is not None:
             mu, initialized, z = mu[cells], initialized[cells], z[cells]
-        if not initialized.all():
+        if not np.logical_and.reduce(initialized, axis=None):
             missing = np.flatnonzero(
                 (~initialized).reshape(-1, self.num_classes).any(axis=0)).tolist()
             raise RuntimeError(f"prototype bank not warmed up (classes {missing} never seen)")
-        sims = z @ np.swapaxes(mu, -1, -2)
+        sims = z @ mu.swapaxes(-1, -2)
         return one_hot(sims.argmax(axis=-1), self.num_classes)
 
 
@@ -161,7 +162,7 @@ class SoftLabelStore:
         only the cells of the (K,) bool mask `cells`."""
         idx = np.asarray(indices, dtype=np.int64)
         y = np.asarray(assigned_onehot, dtype=np.float64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n_instances):
+        if any_outside(idx, self.n_instances):
             raise IndexError("soft-label index out of range")
         beta, rows = self._beta, ((idx,) if self.q.ndim == 2 else (slice(None), idx))
         if cells is not None:
@@ -169,8 +170,9 @@ class SoftLabelStore:
         q = self.q[rows]
         if y.shape != q.shape:
             raise ValueError("assignment shape must be (len(indices), num_classes)")
-        is_onehot = np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=-1) == 1.0)
-        if not is_onehot:
+        # one nonzero entry per row and every row summing to exactly 1: one-hot
+        row_sums = np.add.reduce(y, axis=-1)
+        if np.count_nonzero(y) != row_sums.size or np.count_nonzero(row_sums != 1.0):
             raise ValueError("assignments must be one-hot rows")
         self.q[rows] = beta * q + (1.0 - beta) * y
         self.update_counts[rows] += 1

@@ -327,6 +327,8 @@ def _lockstep(source_model: Model, target_train: Dataset, configs: list[TrainCon
     lam = np.array([c.lam for c in configs])
     lam_rows = lam[:, None, None]
     cycler = _Cycler(n_l, rng) if n_l > config.batch_size_l else None
+    labeled_x = target_train.features[labeled_idx]
+    unlabeled_x = target_train.features[unlabeled_idx]
 
     t = 0
     for epoch in range(config.adapt_epochs):
@@ -345,9 +347,7 @@ def _lockstep(source_model: Model, target_train: Dataset, configs: list[TrainCon
                 l_pos = l_perm[b * config.batch_size_l:(b + 1) * config.batch_size_l]
             nl = l_pos.size
             labels = frozen_labels[l_pos]
-            x = np.vstack([target_train.features[labeled_idx[l_pos]],
-                           target_train.features[unlabeled_idx[u_pos]]])
-            cache = model.forward(x)
+            cache = model.forward(np.concatenate([labeled_x[l_pos], unlabeled_x[u_pos]]))
             probs = cache.probs
             z = l2_normalize_rows(cache.features)
             pseudo = np.empty(probs.shape[:-1], dtype=np.int64)
@@ -360,7 +360,7 @@ def _lockstep(source_model: Model, target_train: Dataset, configs: list[TrainCon
                     ready = None if warm.all() else warm
                     store.update(u_pos, bank.assign(z[:, nl:], ready), ready)
 
-            grad_logits = np.zeros_like(cache.logits)
+            grad_logits = np.zeros(cache.logits.shape)
             if nl:
                 loss_l, g_l = labeled_ce(probs[:, :nl], labels)
                 grad_logits[:, :nl] = lam_rows * g_l
@@ -372,9 +372,9 @@ def _lockstep(source_model: Model, target_train: Dataset, configs: list[TrainCon
             else:
                 loss_u = 0.0
             report = total_loss(loss_u, loss_l, lam)
-            diverged = ~np.isfinite(report.total)
-            if diverged.any():
-                raise DivergenceError("non-finite adaptation loss", diverged)
+            finite = np.isfinite(report.total)
+            if not np.logical_and.reduce(finite):
+                raise DivergenceError("non-finite adaptation loss", ~finite)
             opt.step(model, model.backward(cache, grad_logits), t)
             t += 1
             sums["loss_l"] += report.loss_l

@@ -67,6 +67,18 @@ def test_micro_equals_per_row_recount():
     assert m.micro == pytest.approx(correct / 80, abs=1e-12)
 
 
+def test_confusion_counts_every_label_prediction_pair():
+    rng = make_rng(4)
+    labels = rng.integers(0, 4, size=120)
+    data = Dataset(rng.normal(size=(120, 4)), labels, 4)
+    model = identity_model(4)
+    expected = np.zeros((4, 4), dtype=np.int64)
+    np.add.at(expected, (labels, model.predict(data.features)), 1)
+    confusion = evaluate(model, data).confusion
+    assert confusion.dtype == np.int64
+    np.testing.assert_array_equal(confusion, expected)
+
+
 def test_absent_class_excluded_from_macro():
     confusion = np.array([[5, 0, 0], [1, 4, 0], [0, 0, 0]])
     m = confusion_metrics(confusion)

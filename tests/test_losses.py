@@ -99,6 +99,31 @@ def test_soft_ce_negative_entry_rejected():
         soft_ce(np.array([[0.5, 0.5]]), np.array([[-0.1, 0.2]]))
 
 
+@pytest.mark.parametrize("cells", [None, 3])
+def test_losses_equal_their_one_hot_formulas(cells):
+    # the reference spellings the kernels replaced, which must give the same bits
+    rng = make_rng(13)
+    shape = (40, 5) if cells is None else (cells, 40, 5)
+    p = softmax(rng.normal(size=shape) * 4.0)
+    labels = rng.integers(0, 5, size=40)
+    q = 0.3 * one_hot(rng.integers(0, 5, size=shape[:-1]), 5)
+    loss, grad = labeled_ce(p, labels)
+    picked = np.ascontiguousarray(p[..., np.arange(40), labels])
+    np.testing.assert_array_equal(loss, -np.log(np.clip(picked, 1e-12, None)).mean(axis=-1))
+    np.testing.assert_array_equal(grad, (p - one_hot(labels, 5)) / 40)
+    loss, grad = soft_ce(p, q)
+    logp = np.log(np.clip(p, 1e-12, None))
+    np.testing.assert_array_equal(loss, -(q * logp).sum(axis=-1).mean(axis=-1))
+    np.testing.assert_array_equal(grad, (q.sum(axis=-1, keepdims=True) * p - q) / 40)
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_labeled_ce_rejects_out_of_range_labels(label):
+    probs = np.full((2, 3), 1 / 3)
+    with pytest.raises(ValueError, match="label out of range"):
+        labeled_ce(probs, np.array([0, label]))
+
+
 def test_soft_ce_empty_batch():
     with pytest.raises(ValueError, match="empty"):
         soft_ce(np.zeros((0, 2)), np.zeros((0, 2)))

@@ -231,6 +231,27 @@ def test_load_bad_param_header_raises_format_error(tmp_path):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_parameters(tmp_path, value):
+    path = tmp_path / "m.txt"
+    save_model(small_model(), str(path))
+    lines = path.read_text().splitlines()
+    assert lines[-2] == "param classifier.b 1 3"
+    lines[-1] = " ".join([value] + lines[-1].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match=rf"m\.txt: line {len(lines)}: non-finite value"):
+        load_model(str(path))
+    # the offending row is named inside a multi-row block too
+    lines = path.read_text().splitlines()
+    lines[-1] = "0 0 0"
+    row = lines.index("param enc0.W 3 5") + 3
+    values = lines[row - 1].split()
+    lines[row - 1] = " ".join(values[:2] + [value] + values[3:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match=rf"line {row}: non-finite value"):
+        load_model(str(path))
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dmapl.numkit import (ZeroNormError, l2_normalize, l2_normalize_rows,
+from dmapl.numkit import (ZeroNormError, any_outside, l2_normalize, l2_normalize_rows,
                           make_rng, one_hot, softmax)
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -89,3 +89,26 @@ def test_one_hot():
     np.testing.assert_array_equal(out, [[0, 0, 1], [1, 0, 0]])
     with pytest.raises(ValueError):
         one_hot(np.array([3]), 3)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint32])
+def test_any_outside_reads_every_integer_width(dtype):
+    assert not any_outside(np.array([0, 2, 1], dtype=dtype), 3)
+    assert any_outside(np.array([0, 3], dtype=dtype), 3)
+    assert not any_outside(np.array([], dtype=dtype), 3)
+    if np.issubdtype(dtype, np.signedinteger):
+        assert any_outside(np.array([[1, -1]], dtype=dtype), 3)
+
+
+def test_softmax_and_row_norms_equal_their_wrapper_formulas():
+    # the library calls the ufunc reductions directly; these are the
+    # wrapper spellings they replaced, which must give the same bits
+    rng = make_rng(12)
+    z = rng.normal(size=(3, 50, 6)) * 10.0 ** rng.integers(-3, 3, size=(3, 50, 1))
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(softmax(z), e / e.sum(axis=-1, keepdims=True))
+    z[1, 7] = 0.0
+    norms = np.linalg.norm(z, axis=-1, keepdims=True)
+    expected = z / np.where(norms > 1e-12, norms, 1.0)
+    np.testing.assert_array_equal(l2_normalize_rows(z), expected)
+    np.testing.assert_array_equal(l2_normalize_rows(z[1, 7]), 0.0)

@@ -192,6 +192,43 @@ def test_non_onehot_rejected():
         store.update(np.array([0]), np.array([[0.5, 0.5]]))
 
 
+def _old_onehot_predicate(y):
+    return bool(np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=-1) == 1.0))
+
+
+ENTRY = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, 0.5, np.nan, np.inf])
+ONE_HOT_ROW = st.tuples(st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]),
+                        st.integers(0, 2)).map(lambda r: [*r[:2][:r[2]], 1.0, *r[:2][r[2]:]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(ONE_HOT_ROW, st.lists(ENTRY, min_size=3, max_size=3)),
+                min_size=0, max_size=4))
+def test_store_accepts_exactly_the_one_hot_rows(rows):
+    y = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+    store = SoftLabelStore(4, 3, beta=0.5)
+    try:
+        store.update(np.arange(len(rows)), y)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _old_onehot_predicate(y)
+    np.testing.assert_array_equal(y, np.array(rows, dtype=np.float64).reshape(len(rows), 3))
+
+
+def test_class_means_equal_an_in_order_add_at():
+    rng = make_rng(6)
+    z = rng.normal(size=(3, 50, 4)) * 10.0 ** rng.integers(-8, 8, size=(3, 50, 1))
+    labels = rng.integers(0, 5, size=(3, 50))
+    means, present = class_feature_means(z, labels, 5)
+    for k in range(3):
+        sums = np.zeros((5, 4))
+        np.add.at(sums, labels[k], z[k])
+        counts = np.bincount(labels[k], minlength=5)
+        np.testing.assert_array_equal(means[k], sums / np.maximum(counts, 1)[:, None])
+        np.testing.assert_array_equal(present[k], counts > 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(beta=st.sampled_from([0.5, 0.9, 0.99]),
        classes=st.integers(min_value=6, max_value=6).map(lambda c: c),
