@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import statistics
@@ -75,9 +76,12 @@ def _config_from_args(args: argparse.Namespace):
 
 def _parse_seeds(raw: str) -> list[int]:
     try:
-        return [int(s) for s in raw.split(",") if s.strip()]
+        seeds = [int(s) for s in raw.split(",") if s.strip()]
     except ValueError:
-        raise ConfigError(f"bad --seeds value {raw!r}; expected e.g. 0,1,2") from None
+        seeds = []
+    if not seeds:
+        raise ConfigError(f"bad --seeds value {raw!r}; expected e.g. 0,1,2")
+    return seeds
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -174,18 +178,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     base_config = _config_from_args(args)
     spec = shift_spec_from_sources(args.spec, {})
-    seeds = _parse_seeds(args.seeds)
+    # every run's config is checked before anything is written or trained
+    configs = [replace(base_config, mode=mode, seed=seed)
+               for mode in (MODES if args.modes is None else args.modes.split(","))
+               for seed in _parse_seeds(args.seeds)]
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, {**base_config.to_dict(), "seeds": args.seeds})
     rows = []
-    for mode in MODES if args.modes is None else args.modes.split(","):
-        for seed in seeds:
-            result = run_experiment(replace(spec, seed=seed),
-                                    replace(base_config, mode=mode, seed=seed))
-            rows.append({"mode": mode, "seed": seed,
-                         "test_micro": result["test_micro"],
-                         "test_macro": result["test_macro"],
-                         "source_test_micro": result["source_test_micro"]})
+    for config in configs:
+        result = run_experiment(replace(spec, seed=config.seed), config)
+        rows.append({"mode": config.mode, "seed": config.seed,
+                     "test_micro": result["test_micro"],
+                     "test_macro": result["test_macro"],
+                     "source_test_micro": result["source_test_micro"]})
     with open(os.path.join(args.out, "ablation.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -229,6 +234,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dmapl",
                                      description="Source-free inductive domain adaptation "
@@ -242,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.8, help="train:test split ratio")
     p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train-source", help="pre-train the source model")
     p.add_argument("--train", required=True)
@@ -250,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_train_source)
 
     p = sub.add_parser("split", help="confidence-split a target training CSV")
     p.add_argument("--model", required=True)
@@ -259,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ground-truth", help="labeled target-train CSV, diagnostics only")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("adapt", help="adapt a source model to unlabeled target data")
     p.add_argument("--source-model", required=True)
@@ -271,14 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-soft-labels", action="store_true",
                    help="dump per-epoch soft-label CSVs")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("eval", help="evaluate a model on a labeled CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out")
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the ablation modes on the synthetic benchmark")
     p.add_argument("--spec", help="benchmark spec file")
@@ -287,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="hyperparameter sweep on the synthetic benchmark")
     p.add_argument("--grid", required=True, help="JSON file: {param: [values...]}")
@@ -297,16 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the parser, which is built only once
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (DmaplError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

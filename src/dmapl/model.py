@@ -264,24 +264,20 @@ class SgdMomentum:
     velocity <- momentum * velocity + (grad + weight_decay * param)
     param    <- param - lr(t) * velocity
 
-    `encoder_lr_scale` keeps the two-parameter-group option (backbone vs head)
-    available in configs; 1.0 collapses to a single group. Velocity, weight
-    decay and learning-rate scale are vectors laid out like `Model.flat`.
+    Velocity and weight decay are vectors laid out like `Model.flat`.
     """
 
     def __init__(self, model: Model, momentum: float = 0.9, weight_decay: float = 1e-3,
-                 eta_0: float = 1e-2, eta_1: float = 1e-3, total_steps: int = 1,
-                 encoder_lr_scale: float = 1.0):
+                 eta_0: float = 1e-2, eta_1: float = 1e-3, total_steps: int = 1):
         self.momentum = momentum
         self.eta_0 = eta_0
         self.eta_1 = eta_1
         self.total_steps = total_steps
         self._velocity, self._scratch = np.zeros_like(model.flat), np.empty_like(model.flat)
         self.velocity = _views(self._velocity, model.config)
-        self._decay, self._lr_scale = np.zeros(model.flat.shape[-1]), np.ones(model.flat.shape[-1])
+        self._decay = np.zeros(model.flat.shape[-1])
         for name, start, stop, _ in _layout(model.config):
             self._decay[start:stop] = weight_decay if name.endswith(".W") else 0.0
-            self._lr_scale[start:stop] = encoder_lr_scale if name.startswith("enc") else 1.0
 
     def lr_at(self, t: int) -> float:
         return cosine_lr(min(t, self.total_steps), self.total_steps, self.eta_0, self.eta_1)
@@ -300,14 +296,13 @@ class SgdMomentum:
                     raise DivergenceError(f"divergence detected in parameter block '{name}'",
                                           ~finite.all(axis=(1, 2)) if param.ndim == 3 else None)
         lr = self.lr_at(t)
-        # velocity = momentum * velocity + (grad + decay * param); param -= (lr * scale) * velocity
+        # velocity = momentum * velocity + (grad + decay * param); param -= lr * velocity
         buf, velocity = self._scratch, self._velocity
         np.multiply(self._decay, model.flat, out=buf)
         buf += g
         velocity *= self.momentum
         velocity += buf
-        np.multiply(self._lr_scale, lr, out=buf)
-        buf *= velocity
+        np.multiply(velocity, lr, out=buf)
         model.flat -= buf
 
 

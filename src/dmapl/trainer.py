@@ -3,8 +3,9 @@ the ablation variants, and hyperparameter sweeps.
 
 Every routine is deterministic in (config, seed, data): one PCG64 stream per
 run drives initialization and every shuffle, and no wall-clock state leaks
-into the numerics. Adaptation splits the target training set exactly once,
-with the source model, and never touches the frozen pseudo-labels afterwards.
+into the numerics. Every phase trains through one SGD loop, `_fit`.
+Adaptation splits the target training set exactly once, with the source
+model, and never touches the frozen pseudo-labels afterwards.
 Configs that differ only in alpha, beta and lambda adapt in lockstep: one
 loop over parameters stacked along a leading cell axis, each cell computing
 exactly what its own run computes.
@@ -15,9 +16,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -58,7 +59,6 @@ class TrainConfig:
     mode: str = "dmapl"
     hidden_dims: tuple[int, ...] = (64,)
     bottleneck_dim: int = 8
-    encoder_lr_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.p_th < 1.0):
@@ -79,8 +79,6 @@ class TrainConfig:
             raise ValueError("epochs and batch sizes must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.encoder_lr_scale <= 0:
-            raise ValueError("encoder_lr_scale must be > 0")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -155,7 +153,8 @@ class RunRecord:
 
 
 class _Cycler:
-    """Endless shuffled index stream over range(n), reshuffled per pass."""
+    """Endless shuffled index stream over range(n), reshuffled per pass.
+    A draw takes at most n indices."""
 
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
@@ -164,17 +163,62 @@ class _Cycler:
         self.cursor = 0
 
     def draw(self, k: int) -> np.ndarray:
-        out: list[np.ndarray] = []
-        need = k
-        while need > 0:
-            if self.cursor >= self.n:
-                self.perm = self.rng.permutation(self.n)
-                self.cursor = 0
-            take = min(need, self.n - self.cursor)
-            out.append(self.perm[self.cursor:self.cursor + take])
-            self.cursor += take
-            need -= take
-        return np.concatenate(out)
+        if self.cursor + k <= self.n:
+            self.cursor += k
+            return self.perm[self.cursor - k:self.cursor]
+        head = self.perm[self.cursor:]
+        self.perm = self.rng.permutation(self.n)
+        self.cursor = k - head.size
+        return np.concatenate([head, self.perm[:self.cursor]])
+
+
+def _batches(perm: np.ndarray, size: int):
+    """Consecutive slices of `size` indices of `perm`; the last may be short."""
+    for start in range(0, perm.size, size):
+        yield perm[start:start + size]
+
+
+def _fit(model: Model, config: TrainConfig, epochs: int, iters_per_epoch: int, batches, step):
+    """The SGD loop of every training phase: `epochs` passes of
+    `iters_per_epoch` momentum steps on the cosine schedule. After each epoch
+    it yields (epoch, the epoch mean of each loss, the last step's rate).
+
+    The phase supplies what differs: `batches()` yields one epoch's batches,
+    drawing from the phase's rng in its fixed order, and `step(batch)`
+    returns the forward cache, the loss gradient on its logits and a tuple
+    of losses (floats, or per-cell arrays).
+    """
+    opt = SgdMomentum(model, config.momentum, config.weight_decay, config.eta_0,
+                      config.eta_1, epochs * iters_per_epoch)
+    t = 0
+    for epoch in range(epochs):
+        sums = itertools.repeat(0.0)  # from 0.0, so a mean of -0.0 losses reads 0.0
+        for batch in batches():
+            cache, grad, losses = step(batch)
+            opt.step(model, model.backward(cache, grad), t)
+            t += 1
+            sums = list(map(operator.add, sums, losses))
+        yield epoch, [s / iters_per_epoch for s in sums], opt.lr_at(t - 1)
+
+
+def _fit_hard_labels(model: Model, config: TrainConfig, epochs: int, rng: np.random.Generator,
+                     x: np.ndarray, labels_of, what: str):
+    """`_fit` with cross-entropy on hard labels, for source training and
+    naive_pl: each epoch takes `labels_of()` for the rows of `x`, then makes
+    one pass over them in a fresh permutation."""
+    def batches():
+        labels = labels_of()
+        for idx in _batches(rng.permutation(len(x)), config.batch_size_l):
+            yield x[idx], labels[idx]
+
+    def step(batch):
+        cache = model.forward(batch[0])
+        loss, grad = labeled_ce(cache.probs, batch[1])
+        if not math.isfinite(loss):
+            raise DivergenceError(f"non-finite {what} loss")
+        return cache, grad, (loss,)
+
+    return _fit(model, config, epochs, math.ceil(len(x) / config.batch_size_l), batches, step)
 
 
 def train_source(source_train: Dataset, source_val: Dataset,
@@ -192,32 +236,15 @@ def train_source(source_train: Dataset, source_val: Dataset,
     start = time.perf_counter()
     rng = make_rng(config.seed)
     model = Model.init(config.model_config(source_train.dim, source_train.num_classes), rng)
-    iters_per_epoch = math.ceil(source_train.n / config.batch_size_l)
-    opt = SgdMomentum(model, config.momentum, config.weight_decay, config.eta_0,
-                      config.eta_1, config.source_epochs * iters_per_epoch,
-                      config.encoder_lr_scale)
     record = RunRecord(config=config.to_dict(), seed=config.seed, mode="source_pretrain")
-    best_model = model.copy()
-    best_acc = -1.0
-    t = 0
-    for epoch in range(config.source_epochs):
-        perm = rng.permutation(source_train.n)
-        ce_sum = 0.0
-        for b in range(iters_per_epoch):
-            idx = perm[b * config.batch_size_l:(b + 1) * config.batch_size_l]
-            cache = model.forward(source_train.features[idx])
-            loss, grad = labeled_ce(cache.probs, source_train.labels[idx])
-            if not math.isfinite(loss):
-                raise DivergenceError("non-finite source training loss")
-            opt.step(model, model.backward(cache, grad), t)
-            t += 1
-            ce_sum += loss
+    best_acc, best_model = -1.0, None
+    for epoch, (ce,), lr in _fit_hard_labels(model, config, config.source_epochs, rng,
+                                             source_train.features, lambda: source_train.labels,
+                                             "source training"):
         val_acc = evaluate(model, source_val).micro
         if val_acc >= best_acc:
-            best_acc = val_acc
-            best_model = model.copy()
-        record.epochs.append({"epoch": epoch, "train_ce": ce_sum / iters_per_epoch,
-                              "val_micro": val_acc, "lr": opt.lr_at(t - 1)})
+            best_acc, best_model = val_acc, model.copy()
+        record.epochs.append({"epoch": epoch, "train_ce": ce, "val_micro": val_acc, "lr": lr})
     record.final = {"best_val_micro": best_acc}
     record.wall_clock_sec = time.perf_counter() - start
     return best_model, record
@@ -237,58 +264,26 @@ def _unwrap(outcome):
     return outcome
 
 
-def _moving_average_adapt(source_model: Model, target_train: Dataset,
-                          configs: list[TrainConfig], diagnostic_labels: np.ndarray | None,
-                          eval_data: Dataset | None, use_split: bool,
-                          snapshot_dir: str | None = None) -> list:
-    """The full method (use_split) and the no-split ablation for K configs
-    with one `_lockstep_key`. They share the split and the batch-index
-    sequence, so they run in lockstep (see `_lockstep`). Returns
-    per config (model, record), or the DmaplError that config's run raised.
-
-    A diverging cell is dropped and the rest of the group runs again from
-    the start; a cell's numbers never depend on the other cells.
-    """
-    if not configs:
-        raise ValueError("no configs to adapt")
-    if any(_lockstep_key(c) != _lockstep_key(configs[0]) for c in configs):
-        raise ValueError("configs adapted together may differ only in alpha, beta and lambda")
-    if snapshot_dir is not None and len(configs) > 1:
-        raise ValueError("soft-label snapshots are written for a single config only")
-    if use_split:
-        try:
-            split = split_target(source_model, target_train, configs[0].p_th)
-        except DmaplError as exc:
-            return [exc] * len(configs)
-        subsets = (split.labeled_indices, split.pseudo_labels, split.unlabeled_indices,
-                   split_diagnostics(split, diagnostic_labels), split)
-    else:
-        subsets = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                   np.arange(target_train.n), None, None)
-
-    outcomes: list = [None] * len(configs)
-    alive = list(range(len(configs)))
-    while alive:
-        try:
-            results = _lockstep(source_model, target_train, [configs[i] for i in alive],
-                                *subsets, eval_data, snapshot_dir)
-        except DivergenceError as exc:
-            for i, diverged in zip(alive, exc.cells):
-                if diverged:
-                    outcomes[i] = exc
-            alive = [i for i, diverged in zip(alive, exc.cells) if not diverged]
-        else:
-            for i, result in zip(alive, results):
-                outcomes[i] = result
-            break
-    return outcomes
+def _test_metrics(model: Model, k: int, eval_data: Dataset | None) -> dict:
+    """Test metrics of cell `k` of a stacked model (or of a single model), or
+    none without `eval_data`. If the cell's logits are non-finite, the
+    DivergenceError names that cell alone."""
+    if eval_data is None:
+        return {}
+    stacked = model.flat.ndim == 2
+    try:
+        metrics = evaluate(model.cell(k) if stacked else model, eval_data)
+    except DivergenceError as exc:
+        cells = np.arange(len(model.flat)) == k if stacked else None
+        raise DivergenceError(str(exc), cells) from None
+    return {"test_macro": metrics.macro, "test_micro": metrics.micro}
 
 
-def _lockstep(source_model: Model, target_train: Dataset, configs: list[TrainConfig],
-              labeled_idx: np.ndarray, frozen_labels: np.ndarray, unlabeled_idx: np.ndarray,
-              split_record: dict | None, split_result: SplitResult | None,
-              eval_data: Dataset | None, snapshot_dir: str | None) -> list[tuple[Model, RunRecord]]:
-    """The adaptation loop, for K >= 1 cells at once.
+def _dual_average(source_model: Model, target_train: Dataset, configs: list[TrainConfig],
+                  rng: np.random.Generator, split: SplitResult | None):
+    """The dual moving-average adaptation of K >= 1 cells at once: returns
+    the stacked model, the soft-label store (None if nothing is unlabeled)
+    and `_fit`'s epochs. Without a split every instance is unlabeled.
 
     Parameters, optimizer state, centroids and soft labels carry a leading
     cell axis; per-cell alpha, beta and lambda broadcast over it. Each cell's
@@ -303,25 +298,16 @@ def _lockstep(source_model: Model, target_train: Dataset, configs: list[TrainCon
     are inert in the loss. Non-finite logits, losses or gradients raise
     DivergenceError naming the cells.
     """
-    start = time.perf_counter()
     config = configs[0]
-    cells = len(configs)
-    rng = make_rng(config.seed)
-    model = Model.stack([source_model] * cells)
+    model = Model.stack([source_model] * len(configs))
     num_classes = model.config.num_classes
-    records = [RunRecord(config=c.to_dict(), seed=c.seed, mode=c.mode,
-                         split=None if split_record is None else dict(split_record),
-                         split_result=split_result)
-               for c in configs]
-
-    n_l, n_u = labeled_idx.size, unlabeled_idx.size
-    if n_u > 0:
-        iters_per_epoch = math.ceil(n_u / config.batch_size_u)
+    if split is None:
+        labeled_idx = frozen_labels = np.empty(0, dtype=np.int64)
+        unlabeled_idx = np.arange(target_train.n)
     else:
-        iters_per_epoch = math.ceil(n_l / config.batch_size_l)
-    opt = SgdMomentum(model, config.momentum, config.weight_decay, config.eta_0,
-                      config.eta_1, config.adapt_epochs * iters_per_epoch,
-                      config.encoder_lr_scale)
+        labeled_idx, frozen_labels = split.labeled_indices, split.pseudo_labels
+        unlabeled_idx = split.unlabeled_indices
+    n_l, n_u = labeled_idx.size, unlabeled_idx.size
     bank = CentroidBank(num_classes, model.config.bottleneck_dim, [c.alpha for c in configs])
     store = SoftLabelStore(n_u, num_classes, [c.beta for c in configs]) if n_u else None
     lam = np.array([c.lam for c in configs])
@@ -330,190 +316,156 @@ def _lockstep(source_model: Model, target_train: Dataset, configs: list[TrainCon
     labeled_x = target_train.features[labeled_idx]
     unlabeled_x = target_train.features[unlabeled_idx]
 
-    t = 0
-    for epoch in range(config.adapt_epochs):
+    def batches():
         u_perm = rng.permutation(n_u)
-        # degenerate all-confident case: one pass over the confident subset instead
-        l_perm = rng.permutation(n_l) if n_u == 0 else None
-        sums = {"loss_l": np.zeros(cells), "loss_u": np.zeros(cells),
-                "loss_total": np.zeros(cells)}
-        for b in range(iters_per_epoch):
-            if n_u > 0:
-                u_pos = u_perm[b * config.batch_size_u:(b + 1) * config.batch_size_u]
-                l_pos = (cycler.draw(config.batch_size_l) if cycler is not None
-                         else np.arange(n_l))
-            else:
-                u_pos = np.empty(0, dtype=np.int64)
-                l_pos = l_perm[b * config.batch_size_l:(b + 1) * config.batch_size_l]
-            nl = l_pos.size
-            labels = frozen_labels[l_pos]
-            cache = model.forward(np.concatenate([labeled_x[l_pos], unlabeled_x[u_pos]]))
-            probs = cache.probs
-            z = l2_normalize_rows(cache.features)
-            pseudo = np.empty(probs.shape[:-1], dtype=np.int64)
-            pseudo[:, :nl] = labels
-            pseudo[:, nl:] = probs[:, nl:].argmax(axis=-1)
-            bank.update(*class_feature_means(z, pseudo, num_classes))
-            if store is not None and u_pos.size:
-                warm = bank.warm
-                if warm.any():
-                    ready = None if warm.all() else warm
-                    store.update(u_pos, bank.assign(z[:, nl:], ready), ready)
+        if n_u == 0:
+            # degenerate all-confident case: one pass over the confident subset instead
+            for l_pos in _batches(rng.permutation(n_l), config.batch_size_l):
+                yield l_pos, u_perm
+        for u_pos in _batches(u_perm, config.batch_size_u):
+            yield (cycler.draw(config.batch_size_l) if cycler is not None
+                   else np.arange(n_l)), u_pos
 
-            grad_logits = np.zeros(cache.logits.shape)
-            if nl:
-                loss_l, g_l = labeled_ce(probs[:, :nl], labels)
-                grad_logits[:, :nl] = lam_rows * g_l
-            else:
-                loss_l = 0.0
-            if u_pos.size:
-                loss_u, g_u = soft_ce(probs[:, nl:], store.q[:, u_pos])
-                grad_logits[:, nl:] = g_u
-            else:
-                loss_u = 0.0
-            report = total_loss(loss_u, loss_l, lam)
-            finite = np.isfinite(report.total)
-            if not np.logical_and.reduce(finite):
-                raise DivergenceError("non-finite adaptation loss", ~finite)
-            opt.step(model, model.backward(cache, grad_logits), t)
-            t += 1
-            sums["loss_l"] += report.loss_l
-            sums["loss_u"] += report.loss_u
-            sums["loss_total"] += report.total
-        lr = opt.lr_at(t - 1)
+    def step(batch):
+        l_pos, u_pos = batch
+        nl = l_pos.size
+        labels = frozen_labels[l_pos]
+        cache = model.forward(np.concatenate([labeled_x[l_pos], unlabeled_x[u_pos]]))
+        probs = cache.probs
+        z = l2_normalize_rows(cache.features)
+        pseudo = np.empty(probs.shape[:-1], dtype=np.int64)
+        pseudo[:, :nl] = labels
+        pseudo[:, nl:] = probs[:, nl:].argmax(axis=-1)
+        bank.update(*class_feature_means(z, pseudo, num_classes))
+        if store is not None and u_pos.size:
+            warm = bank.warm
+            if warm.any():
+                ready = None if warm.all() else warm
+                store.update(u_pos, bank.assign(z[:, nl:], ready), ready)
+
+        grad_logits = np.zeros(cache.logits.shape)
+        if nl:
+            loss_l, g_l = labeled_ce(probs[:, :nl], labels)
+            grad_logits[:, :nl] = lam_rows * g_l
+        else:
+            loss_l = 0.0
+        if u_pos.size:
+            loss_u, g_u = soft_ce(probs[:, nl:], store.q[:, u_pos])
+            grad_logits[:, nl:] = g_u
+        else:
+            loss_u = 0.0
+        report = total_loss(loss_u, loss_l, lam)
+        finite = np.isfinite(report.total)
+        if not np.logical_and.reduce(finite):
+            raise DivergenceError("non-finite adaptation loss", ~finite)
+        return cache, grad_logits, (report.loss_l, report.loss_u, report.total)
+
+    iters_per_epoch = (math.ceil(n_u / config.batch_size_u) if n_u
+                       else math.ceil(n_l / config.batch_size_l))
+    return model, store, _fit(model, config, config.adapt_epochs, iters_per_epoch, batches, step)
+
+
+def _adapt_group(source_model: Model, target_train: Dataset, configs: list[TrainConfig],
+                 split: SplitResult | None, diagnostic_labels: np.ndarray | None,
+                 eval_data: Dataset | None,
+                 snapshot_dir: str | None) -> list[tuple[Model, RunRecord]]:
+    """One adaptation run for K >= 1 configs with one `_lockstep_key`, and
+    per config its (model, record). The moving-average modes run the K cells
+    in lockstep; naive_pl, which none of alpha, beta and lambda affect, and
+    source_only run once for all of them."""
+    start = time.perf_counter()
+    config = configs[0]
+    rng = make_rng(config.seed)
+    split_record = None if split is None else split_diagnostics(split, diagnostic_labels)
+    records = [RunRecord(config=c.to_dict(), seed=c.seed, mode=c.mode,
+                         split=None if split is None else dict(split_record), split_result=split)
+               for c in configs]
+    store, epochs = None, ()
+    if config.mode in ("dmapl", "soft_label_no_split"):
+        model, store, epochs = _dual_average(source_model, target_train, configs, rng, split)
+    elif config.mode == "naive_pl":
+        # self-training: re-label everything with the current model at each
+        # epoch start, then train one epoch of hard CE on those labels
+        model, x = source_model.copy(), target_train.features
+        epochs = ((epoch, (ce, 0.0, ce), lr) for epoch, (ce,), lr in _fit_hard_labels(
+            model, config, config.adapt_epochs, rng, x, lambda: model.predict(x),
+            "naive pseudo-labeling"))
+    else:
+        model = source_model  # source_only; every result below is a copy
+    for epoch, means, lr in epochs:
         for k, record in enumerate(records):
             entry = {"epoch": epoch, "lr": lr}
-            entry.update({name: float(v[k]) / iters_per_epoch for name, v in sums.items()})
-            if eval_data is not None:
-                metrics = _evaluate_cell(model.cell(k), k, cells, eval_data)
-                entry["test_macro"] = metrics.macro
-                entry["test_micro"] = metrics.micro
+            for name, mean in zip(("loss_l", "loss_u", "loss_total"), means):
+                entry[name] = float(mean[k]) if np.ndim(mean) else mean
+            entry.update(_test_metrics(model, k, eval_data))
             record.epochs.append(entry)
         if snapshot_dir is not None and store is not None:
             store.save_csv(os.path.join(snapshot_dir, f"soft_labels_epoch{epoch:03d}.csv"))
-
     results = []
     for k, record in enumerate(records):
-        adapted = model.cell(k)
-        record.final = {key: record.epochs[-1][key] for key in ("loss_l", "loss_u", "loss_total")}
-        if eval_data is not None:
-            metrics = _evaluate_cell(adapted, k, cells, eval_data)
-            record.final["test_macro"] = metrics.macro
-            record.final["test_micro"] = metrics.micro
+        # the last epoch's figures are the final ones (source_only has no epochs)
+        last = record.epochs[-1] if record.epochs else _test_metrics(model, k, eval_data)
+        record.final = {key: v for key, v in last.items() if key not in ("epoch", "lr")}
         record.wall_clock_sec = time.perf_counter() - start
-        results.append((adapted, record))
+        results.append((model.cell(k) if model.flat.ndim == 2 else model.copy(), record))
     return results
 
 
-def _evaluate_cell(model: Model, k: int, cells: int, eval_data: Dataset):
-    """Test metrics of cell `k`'s model; if its logits are non-finite, the
-    DivergenceError names that cell alone."""
-    try:
-        return evaluate(model, eval_data)
-    except DivergenceError as exc:
-        raise DivergenceError(str(exc), np.arange(cells) == k) from None
-
-
-def adapt_dmapl(source_model: Model, target_train: Dataset,
-                config: TrainConfig | list[TrainConfig],
-                diagnostic_labels: np.ndarray | None = None,
-                eval_data: Dataset | None = None,
-                snapshot_dir: str | None = None) -> tuple[Model, RunRecord] | list:
-    """Full adaptation: split once with the source model, then fine-tune with
-    the dual moving-average objective. `diagnostic_labels` only feeds the
-    split diagnostics; `eval_data` only adds test metrics to the record;
-    `snapshot_dir` dumps a per-epoch soft-label CSV for audits.
-
-    Returns (model, record). `config` may also be a list of configs that
-    differ only in alpha, beta and lambda: they share one split and run in
-    lockstep, and the result is a list holding, per config, (model, record)
-    or the DmaplError its run raised. Each is bit-identical to the run of
-    that config alone.
-    """
-    configs = [config] if isinstance(config, TrainConfig) else list(config)
-    if any(c.mode != "dmapl" for c in configs):
-        raise ValueError("adapt_dmapl requires config.mode == 'dmapl'")
-    outcomes = _moving_average_adapt(source_model, target_train, configs, diagnostic_labels,
-                                     eval_data, use_split=True, snapshot_dir=snapshot_dir)
-    return _unwrap(outcomes[0]) if isinstance(config, TrainConfig) else outcomes
-
-
-def _naive_pseudo_label_adapt(source_model: Model, target_train: Dataset, config: TrainConfig,
-                              eval_data: Dataset | None) -> tuple[Model, RunRecord]:
-    """Self-training baseline: re-label everything with the current model at
-    each epoch start, then train one epoch of hard CE on those labels."""
-    start = time.perf_counter()
-    rng = make_rng(config.seed)
-    model = source_model.copy()
-    record = RunRecord(config=config.to_dict(), seed=config.seed, mode=config.mode)
-    iters_per_epoch = math.ceil(target_train.n / config.batch_size_l)
-    opt = SgdMomentum(model, config.momentum, config.weight_decay, config.eta_0,
-                      config.eta_1, config.adapt_epochs * iters_per_epoch,
-                      config.encoder_lr_scale)
-    t = 0
-    for epoch in range(config.adapt_epochs):
-        labels = model.predict(target_train.features)
-        perm = rng.permutation(target_train.n)
-        ce_sum = 0.0
-        for b in range(iters_per_epoch):
-            idx = perm[b * config.batch_size_l:(b + 1) * config.batch_size_l]
-            cache = model.forward(target_train.features[idx])
-            loss, grad = labeled_ce(cache.probs, labels[idx])
-            if not math.isfinite(loss):
-                raise DivergenceError("non-finite naive pseudo-labeling loss")
-            opt.step(model, model.backward(cache, grad), t)
-            t += 1
-            ce_sum += loss
-        entry = {"epoch": epoch, "loss_l": ce_sum / iters_per_epoch, "loss_u": 0.0,
-                 "loss_total": ce_sum / iters_per_epoch, "lr": opt.lr_at(t - 1)}
-        if eval_data is not None:
-            metrics = evaluate(model, eval_data)
-            entry["test_macro"] = metrics.macro
-            entry["test_micro"] = metrics.micro
-        record.epochs.append(entry)
-    record.final = {k: record.epochs[-1][k] for k in ("loss_l", "loss_u", "loss_total")}
-    if eval_data is not None:
-        metrics = evaluate(model, eval_data)
-        record.final["test_macro"] = metrics.macro
-        record.final["test_micro"] = metrics.micro
-    record.wall_clock_sec = time.perf_counter() - start
-    return model, record
-
-
-def adapt_ablation(source_model: Model, target_train: Dataset, config: TrainConfig,
-                   diagnostic_labels: np.ndarray | None = None,
-                   eval_data: Dataset | None = None,
-                   snapshot_dir: str | None = None) -> tuple[Model, RunRecord]:
-    """The ablation variants: source_only (return the source model untouched),
-    naive_pl (epoch-wise hard self-training on all instances), and
-    soft_label_no_split (the moving-average loop with every instance treated
-    as unlabeled, no confident anchor term)."""
-    if config.mode == "source_only":
-        record = RunRecord(config=config.to_dict(), seed=config.seed, mode=config.mode)
-        model = source_model.copy()
-        if eval_data is not None:
-            metrics = evaluate(model, eval_data)
-            record.final = {"test_macro": metrics.macro, "test_micro": metrics.micro}
-        return model, record
-    if config.mode == "naive_pl":
-        return _naive_pseudo_label_adapt(source_model, target_train, config, eval_data)
-    if config.mode == "soft_label_no_split":
-        return _unwrap(_moving_average_adapt(source_model, target_train, [config],
-                                             diagnostic_labels, eval_data, use_split=False,
-                                             snapshot_dir=snapshot_dir)[0])
-    raise ValueError("adapt_ablation requires an ablation mode")
-
-
-def adapt(source_model: Model, target_train: Dataset, config: TrainConfig,
+def adapt(source_model: Model, target_train: Dataset,
+          config: TrainConfig | list[TrainConfig],
           diagnostic_labels: np.ndarray | None = None,
           eval_data: Dataset | None = None,
-          snapshot_dir: str | None = None) -> tuple[Model, RunRecord]:
-    """Dispatch on config.mode."""
-    if config.mode == "dmapl":
-        return adapt_dmapl(source_model, target_train, config, diagnostic_labels,
-                           eval_data, snapshot_dir)
-    return adapt_ablation(source_model, target_train, config, diagnostic_labels,
-                          eval_data, snapshot_dir)
+          snapshot_dir: str | None = None) -> tuple[Model, RunRecord] | list:
+    """Adapt the source model to the unlabeled target set, per config.mode:
+
+    - dmapl: split once with the source model, then fine-tune with the dual
+      moving-average objective;
+    - soft_label_no_split: the same loop with every instance treated as
+      unlabeled, no confident anchor term;
+    - naive_pl: epoch-wise hard self-training on all instances;
+    - source_only: the source model, untouched.
+
+    `diagnostic_labels` only feeds the split diagnostics; `eval_data` only
+    adds test metrics to the record; `snapshot_dir` dumps a per-epoch
+    soft-label CSV for audits.
+
+    Returns (model, record). `config` may also be a list of configs that
+    differ only in alpha, beta and lambda; the result is then a list holding,
+    per config, (model, record) or the DmaplError its run raised, each
+    bit-identical to the run of that config alone. The configs share one
+    split and one loop; a diverging cell is dropped and the rest run again
+    from the start, so a cell's numbers never depend on the other cells.
+    """
+    configs = [config] if isinstance(config, TrainConfig) else list(config)
+    if not configs:
+        raise ValueError("no configs to adapt")
+    if any(_lockstep_key(c) != _lockstep_key(configs[0]) for c in configs):
+        raise ValueError("configs adapted together may differ only in alpha, beta and lambda")
+    if snapshot_dir is not None and len(configs) > 1:
+        raise ValueError("soft-label snapshots are written for a single config only")
+    outcomes: list = [None] * len(configs)
+    alive = list(range(len(configs)))
+    split = None
+    if configs[0].mode == "dmapl":
+        try:
+            split = split_target(source_model, target_train, configs[0].p_th)
+        except DmaplError as exc:
+            outcomes, alive = [exc] * len(configs), []
+    while alive:
+        try:
+            results = _adapt_group(source_model, target_train, [configs[i] for i in alive],
+                                   split, diagnostic_labels, eval_data, snapshot_dir)
+        except DivergenceError as exc:
+            failed = [True] * len(alive) if exc.cells is None else exc.cells
+            for i, diverged in zip(alive, failed):
+                if diverged:
+                    outcomes[i] = exc
+            alive = [i for i, diverged in zip(alive, failed) if not diverged]
+        else:
+            for i, result in zip(alive, results):
+                outcomes[i] = result
+            break
+    return _unwrap(outcomes[0]) if isinstance(config, TrainConfig) else outcomes
 
 
 @dataclass
@@ -589,8 +541,8 @@ def _sweep_one_seed(args: tuple) -> list[dict]:
         groups.setdefault(_lockstep_key(cell_config), []).append(i)
     outcomes: list = [None] * len(cells)
     for members in groups.values():
-        results = adapt_dmapl(source_model, target, [cell_configs[i] for i in members],
-                              diagnostic_labels=bench.target_train.labels)
+        results = adapt(source_model, target, [cell_configs[i] for i in members],
+                        diagnostic_labels=bench.target_train.labels)
         for i, result in zip(members, results):
             outcomes[i] = result
     rows = []
@@ -613,7 +565,7 @@ def sweep(spec: DomainShiftSpec, base_config: TrainConfig, grid: dict[str, list]
     """One adaptation run per (grid cell, seed). The source model is trained
     once per seed and shared across cells (the sweepable parameters only touch
     adaptation). Cells of one seed that share `p_th` share the split too and
-    run in lockstep through `adapt_dmapl`; every row is bit-identical to a
+    run in lockstep through `adapt`; every row is bit-identical to a
     run of its cell alone. Every cell's config is validated before any
     training. A cell that fails at runtime is recorded with its error and the
     sweep continues. Rows come back in deterministic (seed, cell) order."""
@@ -636,6 +588,7 @@ def sweep(spec: DomainShiftSpec, base_config: TrainConfig, grid: dict[str, list]
         work.append((replace(spec, seed=seed), config, keys, cells,
                      [_cell_config(config, keys, cell) for cell in cells]))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_seed = list(pool.map(_sweep_one_seed, work))
     else:

@@ -241,3 +241,68 @@ def test_ablate_cli(tmp_path):
     assert len(rows) == 5  # header + 2 modes x 2 seeds
     means = json.loads((out / "ablation_summary.json").read_text())
     assert set(means) == {"source_only", "dmapl"}
+
+
+def test_adapt_config_with_removed_encoder_lr_scale_key_fails(data_dir, source_dir, tmp_path,
+                                                               capsys):
+    cfg = tmp_path / "old.txt"
+    cfg.write_text("adapt_epochs = 1\nencoder_lr_scale = 2.0\n")
+    assert run_cli("adapt", "--source-model", source_dir / "source_model.txt",
+                   "--target-train", data_dir / "target_train.csv",
+                   "--config", cfg, "--out", tmp_path / "out") == 1
+    assert "unknown config keys: ['encoder_lr_scale']" in capsys.readouterr().err
+
+
+def counting_train_source(monkeypatch):
+    calls = []
+
+    def no_training(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("train_source ran before the arguments were checked")
+
+    monkeypatch.setattr(dmapl.trainer, "train_source", no_training)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["ablate", "sweep"])
+def test_empty_seeds_rejected_before_training(command, tmp_path, monkeypatch, capsys):
+    calls = counting_train_source(monkeypatch)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"alpha": [0.5]}))
+    extra = ("--grid", grid) if command == "sweep" else ()
+    assert run_cli(command, *extra, "--seeds", ",", "--out", tmp_path / "out") == 1
+    assert "bad --seeds value ','" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_ablate_rejects_bad_mode_before_any_training(tmp_path, monkeypatch, capsys):
+    calls = counting_train_source(monkeypatch)
+    assert run_cli("ablate", "--modes", "dmapl,bogus", "--seeds", "0,1",
+                   "--out", tmp_path / "out") == 1
+    assert "mode must be one of" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_options_of_one_call_do_not_leak_into_the_next(data_dir, source_dir, tmp_path):
+    assert dmapl.cli.build_parser() is dmapl.cli.build_parser()
+    common = ("adapt", "--source-model", source_dir / "source_model.txt",
+              "--target-train", data_dir / "target_train.csv", "--adapt-epochs", 1)
+    assert run_cli(*common, "--alpha", 0.5, "--mode", "naive_pl", "--snapshot-soft-labels",
+                   "--out", tmp_path / "a") == 0
+    assert run_cli(*common, "--out", tmp_path / "b") == 0
+    first = (tmp_path / "a" / "resolved_config.txt").read_text()
+    second = (tmp_path / "b" / "resolved_config.txt").read_text()
+    assert "alpha = 0.5" in first and 'mode = "naive_pl"' in first
+    assert "alpha = 0.9" in second and 'mode = "dmapl"' in second
+    assert (tmp_path / "a" / "soft_labels").is_dir()
+    assert not (tmp_path / "b" / "soft_labels").exists()
+
+
+def test_commands_are_looked_up_per_call(monkeypatch):
+    dmapl.cli.build_parser()
+    seen = []
+    monkeypatch.setattr(dmapl.cli, "cmd_eval", lambda args: seen.append(args.model) or 0)
+    assert run_cli("eval", "--model", "m.txt", "--test", "t.csv") == 0
+    assert seen == ["m.txt"]

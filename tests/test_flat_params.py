@@ -88,8 +88,8 @@ def test_backward_reuses_one_gradient_buffer():
 def test_plain_gradient_dict_updates_like_backward_result(arch, cells):
     rng = make_rng(3)
     a, b = make(CONFIGS[arch], cells=cells), make(CONFIGS[arch], cells=cells)
-    opt_a = SgdMomentum(a, 0.9, 1e-3, 0.1, 0.01, 10, encoder_lr_scale=0.5)
-    opt_b = SgdMomentum(b, 0.9, 1e-3, 0.1, 0.01, 10, encoder_lr_scale=0.5)
+    opt_a = SgdMomentum(a, 0.9, 1e-3, 0.1, 0.01, 10)
+    opt_b = SgdMomentum(b, 0.9, 1e-3, 0.1, 0.01, 10)
     x = rng.normal(size=(7, 3))
     for t in range(3):
         g = rng.normal(size=a.forward(x).logits.shape)

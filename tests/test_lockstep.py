@@ -16,17 +16,17 @@ from dmapl.datasets import Dataset, DomainShiftSpec
 from dmapl.evaluation import evaluate
 from dmapl.model import DivergenceError
 from dmapl.numkit import DmaplError
-from dmapl.trainer import TrainConfig, adapt_dmapl, prepare_benchmark, sweep, train_source
+from dmapl.trainer import TrainConfig, adapt, prepare_benchmark, sweep, train_source
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def solo_row(bench, source_model, config, cell):
-    """The sweep row of one cell, built from its own adapt_dmapl run."""
+    """The sweep row of one cell, built from its own adapt run."""
     row = dict(cell, seed=config.seed)
     try:
-        adapted, record = adapt_dmapl(source_model, bench.target_train.without_labels(), config,
-                                      diagnostic_labels=bench.target_train.labels)
+        adapted, record = adapt(source_model, bench.target_train.without_labels(), config,
+                                diagnostic_labels=bench.target_train.labels)
         row.update(ratio=record.split["ratio"], pl_acc=record.split["pl_accuracy"],
                    test_acc=evaluate(adapted, bench.target_test).micro, error=None)
     except DmaplError as exc:
@@ -79,12 +79,12 @@ def test_lockstep_models_and_records_equal_solo_runs(shape):
     target = bench.target_train.without_labels()
     configs = [replace(config, alpha=a, beta=b, lam=lam)
                for a, b, lam in [(0.5, 0.9, 1.0), (0.99, 0.5, 0.1), (0.9, 0.99, 3.0)]]
-    results = adapt_dmapl(source_model, target, configs,
-                          diagnostic_labels=bench.target_train.labels, eval_data=bench.target_test)
+    results = adapt(source_model, target, configs,
+                    diagnostic_labels=bench.target_train.labels, eval_data=bench.target_test)
     for cfg, (model, record) in zip(configs, results):
-        solo_model, solo_record = adapt_dmapl(source_model, target, cfg,
-                                              diagnostic_labels=bench.target_train.labels,
-                                              eval_data=bench.target_test)
+        solo_model, solo_record = adapt(source_model, target, cfg,
+                                        diagnostic_labels=bench.target_train.labels,
+                                        eval_data=bench.target_test)
         assert record.summary_json() == solo_record.summary_json()
         assert record.epoch_lines() == solo_record.epoch_lines()
         for name in solo_model.params:
@@ -98,9 +98,9 @@ def test_lockstep_rejects_configs_that_cannot_share_a_loop():
     source_model, _ = train_source(bench.source_train, bench.source_val, config)
     target = bench.target_train.without_labels()
     with pytest.raises(ValueError, match="differ only"):
-        adapt_dmapl(source_model, target, [config, replace(config, p_th=0.8)])
+        adapt(source_model, target, [config, replace(config, p_th=0.8)])
     with pytest.raises(ValueError, match="no configs"):
-        adapt_dmapl(source_model, target, [])
+        adapt(source_model, target, [])
 
 
 def test_sweep_rejects_bad_grid_before_any_training(monkeypatch):
@@ -132,8 +132,8 @@ def test_diverging_run_raises_divergence_error():
     source_model, _ = train_source(bench.source_train, bench.source_val, config)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
-            adapt_dmapl(source_model, bench.target_train.without_labels(),
-                        replace(config, lam=1e30))
+            adapt(source_model, bench.target_train.without_labels(),
+                  replace(config, lam=1e30))
 
 
 def test_sweep_isolates_a_diverging_cell():
@@ -157,10 +157,10 @@ def test_lockstep_diverging_cell_gets_its_error_and_others_match_solo():
     target = bench.target_train.without_labels()
     configs = [replace(config, lam=lam) for lam in (1e30, 1.0, 0.5)]
     with np.errstate(over="ignore", invalid="ignore"):
-        results = adapt_dmapl(source_model, target, configs)
+        results = adapt(source_model, target, configs)
     assert isinstance(results[0], DivergenceError)
     for cfg, (model, record) in zip(configs[1:], results[1:]):
-        solo_model, solo_record = adapt_dmapl(source_model, target, cfg)
+        solo_model, solo_record = adapt(source_model, target, cfg)
         assert record.summary_json() == solo_record.summary_json()
         for name in solo_model.params:
             np.testing.assert_array_equal(model.params[name], solo_model.params[name])
@@ -177,8 +177,8 @@ def test_lockstep_records_an_evaluation_divergence_per_cell():
     configs = [replace(config, lam=lam) for lam in (1.0, 0.5)]
     with np.errstate(invalid="ignore"):
         with pytest.raises(DivergenceError, match="non-finite logits"):
-            adapt_dmapl(source_model, target, configs[0], eval_data=broken)
-        results = adapt_dmapl(source_model, target, configs, eval_data=broken)
+            adapt(source_model, target, configs[0], eval_data=broken)
+        results = adapt(source_model, target, configs, eval_data=broken)
     assert all(isinstance(r, DivergenceError) for r in results)
 
 
@@ -210,7 +210,7 @@ def test_frozen_labels_are_read_only_under_python_O():
             return class_feature_means(*args)
 
         trainer.split_target, trainer.class_feature_means = keep_split, try_write
-        trainer.adapt_dmapl(model, bench.target_train.without_labels(), config)
+        trainer.adapt(model, bench.target_train.without_labels(), config)
         print(len(attempts), set(attempts))
     """)
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))

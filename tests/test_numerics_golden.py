@@ -1,7 +1,9 @@
 """Golden training numerics: the saved model text of short seed-0 runs of
 every training loop must keep its exact bytes. The digests were recorded
 before the parameters moved into one flat buffer; any change of summation
-order, operation order or layout in the training step shows up here."""
+order, operation order or layout in the training step shows up here. The
+two-layer digests were recorded before the `encoder_lr_scale` option was
+removed, with its default of 1.0."""
 
 import hashlib
 from dataclasses import replace
@@ -10,12 +12,12 @@ import pytest
 
 from dmapl.datasets import DomainShiftSpec
 from dmapl.model import save_model
-from dmapl.trainer import TrainConfig, adapt_ablation, adapt_dmapl, prepare_benchmark, train_source
+from dmapl.trainer import TrainConfig, adapt, prepare_benchmark, train_source
 
 GOLDEN_SHA256 = {
     "source": "2c9c63f0b0dbbc28d0bb7825d3a8a3f4ddb3c3eac601b14f05d16532a546b4cd",
-    "source_two_layer_double_encoder_lr": "1c4fc2bef2c6916ea119be901cc980a6319e8e9fcb1290097b8506d099e03752",
-    "dmapl_two_layer_double_encoder_lr": "c6a6e7c78dbb3963ec0cf1a3e11f3ab30c991d06c1d7268fbfc9b1b8eae00915",
+    "source_two_layer": "90b89bc4cef1987ec282a79864c94c8daa64f7ca9076ba001999b3366c74e29f",
+    "dmapl_two_layer": "174822bda703902d91f1c006373e4e289e79c35927d2925c2d60bdfb65b2d09e",
     "dmapl": "c0ef9d9263aa3205222569c504a64e9d0467b3aa864a8e9e855899923e1da857",
     "naive_pl": "cd3b71e4be4c404f1715982105c06d0ab313903512b6253ed01221dd9f52818a",
     "soft_label_no_split": "ecdb4c7390b8c3f7510267365b216b201ba0debe99ad2e9db2b60fb765c3db30",
@@ -42,21 +44,20 @@ def test_training_numerics_match_golden_digests(bench, tmp_path):
 
     source, _ = train_source(bench.source_train, bench.source_val, config)
     digests["source"] = _digest(source, tmp_path, "source")
-    wide = replace(config, hidden_dims=(32, 16), encoder_lr_scale=2.0)
+    wide = replace(config, hidden_dims=(32, 16))
     wide_source, _ = train_source(bench.source_train, bench.source_val, wide)
-    digests["source_two_layer_double_encoder_lr"] = _digest(wide_source, tmp_path, "wide")
-    adapted, _ = adapt_dmapl(wide_source, target, wide, diagnostic_labels=labels)
-    digests["dmapl_two_layer_double_encoder_lr"] = _digest(adapted, tmp_path, "wide_dmapl")
+    digests["source_two_layer"] = _digest(wide_source, tmp_path, "wide")
+    adapted, _ = adapt(wide_source, target, wide, diagnostic_labels=labels)
+    digests["dmapl_two_layer"] = _digest(adapted, tmp_path, "wide_dmapl")
 
-    adapted, _ = adapt_dmapl(source, target, config, diagnostic_labels=labels)
+    adapted, _ = adapt(source, target, config, diagnostic_labels=labels)
     digests["dmapl"] = _digest(adapted, tmp_path, "dmapl")
     for mode in ("naive_pl", "soft_label_no_split"):
-        adapted, _ = adapt_ablation(source, target, replace(config, mode=mode),
-                                    diagnostic_labels=labels)
+        adapted, _ = adapt(source, target, replace(config, mode=mode), diagnostic_labels=labels)
         digests[mode] = _digest(adapted, tmp_path, mode)
 
-    cells = adapt_dmapl(source, target, [replace(config, alpha=a) for a in (0.5, 0.7, 0.99)],
-                        diagnostic_labels=labels)
+    cells = adapt(source, target, [replace(config, alpha=a) for a in (0.5, 0.7, 0.99)],
+                  diagnostic_labels=labels)
     digests["alpha_lockstep_cell1"] = _digest(cells[1][0], tmp_path, "cell1")
 
     assert digests == GOLDEN_SHA256

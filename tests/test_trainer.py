@@ -1,14 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dmapl.datasets import DomainShiftSpec
 from dmapl.evaluation import evaluate
+from dmapl.model import DivergenceError
 from dmapl.splitter import split_target
-from dmapl.trainer import (TrainConfig, adapt_ablation, adapt_dmapl,
-                           prepare_benchmark, run_experiment, sweep,
-                           train_source)
+from dmapl.trainer import (TrainConfig, adapt, prepare_benchmark, run_experiment,
+                           sweep, train_source)
 
 FAST = dict(source_epochs=8, adapt_epochs=5, samples=150)
 
@@ -95,33 +96,22 @@ def test_source_generalization_gap_on_shifted_benchmark():
 def test_source_only_returns_bit_identical_parameters():
     _, config, bench = fast_setup(seed=3)
     model, _ = train_source(bench.source_train, bench.source_val, config)
-    out, record = adapt_ablation(model, bench.target_train.without_labels(),
-                                 TrainConfig(mode="source_only", seed=3))
+    out, record = adapt(model, bench.target_train.without_labels(),
+                        TrainConfig(mode="source_only", seed=3))
     assert out is not model
     for k in model.params:
         np.testing.assert_array_equal(out.params[k], model.params[k])
     assert record.epochs == []
 
 
-def test_adapt_dmapl_requires_matching_mode():
-    _, config, bench = fast_setup(seed=3)
-    model, _ = train_source(bench.source_train, bench.source_val, config)
-    with pytest.raises(ValueError, match="mode"):
-        adapt_dmapl(model, bench.target_train.without_labels(),
-                    TrainConfig(mode="naive_pl"))
-    with pytest.raises(ValueError, match="ablation"):
-        adapt_ablation(model, bench.target_train.without_labels(),
-                       TrainConfig(mode="dmapl"))
-
-
 def test_adapt_deterministic_and_records_split():
     _, config, bench = fast_setup(seed=4)
     model, _ = train_source(bench.source_train, bench.source_val, config)
     unlabeled = bench.target_train.without_labels()
-    m1, r1 = adapt_dmapl(model, unlabeled, config,
-                         diagnostic_labels=bench.target_train.labels)
-    m2, r2 = adapt_dmapl(model, unlabeled, config,
-                         diagnostic_labels=bench.target_train.labels)
+    m1, r1 = adapt(model, unlabeled, config,
+                   diagnostic_labels=bench.target_train.labels)
+    m2, r2 = adapt(model, unlabeled, config,
+                   diagnostic_labels=bench.target_train.labels)
     assert r1.summary_json() == r2.summary_json()
     for k in m1.params:
         np.testing.assert_array_equal(m1.params[k], m2.params[k])
@@ -135,7 +125,7 @@ def test_adapt_deterministic_and_records_split():
 def test_adapt_epoch_log_is_json_lines(tmp_path):
     _, config, bench = fast_setup(seed=4)
     model, _ = train_source(bench.source_train, bench.source_val, config)
-    _, record = adapt_dmapl(model, bench.target_train.without_labels(), config)
+    _, record = adapt(model, bench.target_train.without_labels(), config)
     record.save(str(tmp_path))
     lines = (tmp_path / "epochs.jsonl").read_text().strip().splitlines()
     assert len(lines) == config.adapt_epochs
@@ -152,7 +142,7 @@ def test_degenerate_all_confident_split_still_terminates():
     model, _ = train_source(bench.source_train, bench.source_val, config)
     low = TrainConfig(seed=5, adapt_epochs=2, p_th=0.01)
     with pytest.warns(UserWarning, match="degenerates"):
-        out, record = adapt_dmapl(model, bench.target_train.without_labels(), low)
+        out, record = adapt(model, bench.target_train.without_labels(), low)
     assert record.split["ratio"] == 1.0
     assert len(record.epochs) == 2
     assert all(e["loss_u"] == 0.0 for e in record.epochs)
@@ -165,20 +155,51 @@ def test_naive_pl_fixed_point_on_no_shift_target():
     assert before >= 0.99  # no shift: the source model is already right
     predicted = model.predict(bench.target_train.features)
     np.testing.assert_array_equal(predicted, bench.target_train.labels)
-    out, _ = adapt_ablation(model, bench.target_train.without_labels(),
-                            TrainConfig(mode="naive_pl", seed=6, adapt_epochs=3))
+    out, _ = adapt(model, bench.target_train.without_labels(),
+                   TrainConfig(mode="naive_pl", seed=6, adapt_epochs=3))
     assert evaluate(out, bench.target_test).micro >= before - 1e-12
 
 
 def test_soft_label_no_split_runs_without_anchor_term():
     _, config, bench = fast_setup(seed=7)
     model, _ = train_source(bench.source_train, bench.source_val, config)
-    out, record = adapt_ablation(model, bench.target_train.without_labels(),
-                                 TrainConfig(mode="soft_label_no_split", seed=7,
-                                             adapt_epochs=3))
+    out, record = adapt(model, bench.target_train.without_labels(),
+                        TrainConfig(mode="soft_label_no_split", seed=7,
+                                    adapt_epochs=3))
     assert record.split is None
     assert all(e["loss_l"] == 0.0 for e in record.epochs)
     assert evaluate(out, bench.target_test).micro > 0.5
+
+
+@pytest.mark.parametrize("mode", ["naive_pl", "soft_label_no_split", "source_only"])
+def test_adapt_list_equals_solo_runs(mode):
+    _, config, bench = fast_setup(seed=7)
+    model, _ = train_source(bench.source_train, bench.source_val, config)
+    target = bench.target_train.without_labels()
+    configs = [replace(config, mode=mode, adapt_epochs=3, alpha=a, beta=b, lam=lam)
+               for a, b, lam in [(0.5, 0.9, 1.0), (0.99, 0.5, 0.1)]]
+    results = adapt(model, target, configs, eval_data=bench.target_test)
+    assert len(results) == len(configs)
+    for cfg, (out, record) in zip(configs, results):
+        solo_out, solo_record = adapt(model, target, cfg, eval_data=bench.target_test)
+        assert record.summary_json() == solo_record.summary_json()
+        assert record.epoch_lines() == solo_record.epoch_lines()
+        np.testing.assert_array_equal(out.flat, solo_out.flat)
+    assert not np.shares_memory(results[0][0].flat, results[1][0].flat)
+    assert not np.shares_memory(results[0][0].flat, model.flat)
+
+
+def test_adapt_list_records_a_single_model_divergence_for_every_config():
+    _, config, bench = fast_setup(seed=7)
+    model, _ = train_source(bench.source_train, bench.source_val, config)
+    target = bench.target_train.without_labels()
+    configs = [replace(config, mode="naive_pl", eta_0=1e300, eta_1=1e299, lam=lam)
+               for lam in (1.0, 0.5)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            adapt(model, target, configs[0])
+        results = adapt(model, target, configs)
+    assert [type(r) for r in results] == [DivergenceError, DivergenceError]
 
 
 def test_labeled_loss_stays_anchored_on_no_shift_benchmark():
@@ -189,7 +210,7 @@ def test_labeled_loss_stays_anchored_on_no_shift_benchmark():
     config = TrainConfig(seed=8)
     bench = prepare_benchmark(spec)
     model, _ = train_source(bench.source_train, bench.source_val, config)
-    _, record = adapt_dmapl(model, bench.target_train.without_labels(), config)
+    _, record = adapt(model, bench.target_train.without_labels(), config)
     losses = [e["loss_l"] for e in record.epochs[:5]]
     assert all(l <= losses[0] + 0.01 for l in losses[1:])
     assert max(losses) < 0.05
@@ -214,8 +235,8 @@ def test_sweep_single_cell_matches_direct_adaptation():
     assert len(rows) == 1
     bench = prepare_benchmark(spec)
     model, _ = train_source(bench.source_train, bench.source_val, config)
-    adapted, record = adapt_dmapl(model, bench.target_train.without_labels(), config,
-                                  diagnostic_labels=bench.target_train.labels)
+    adapted, record = adapt(model, bench.target_train.without_labels(), config,
+                            diagnostic_labels=bench.target_train.labels)
     metrics = evaluate(adapted, bench.target_test)
     assert rows[0]["test_acc"] == metrics.micro
     assert rows[0]["ratio"] == record.split["ratio"]
