@@ -27,7 +27,7 @@ from .evaluation import evaluate, format_metrics_table
 from .model import load_model, save_model
 from .numkit import DmaplError
 from .splitter import save_split_csv, split_diagnostics, split_target
-from .trainer import (MODES, adapt, prepare_benchmark, run_experiment, sweep,
+from .trainer import (MODES, _unwrap, adapt, prepare_benchmark, run_experiment, sweep,
                       train_source)
 
 
@@ -179,18 +179,18 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     base_config = _config_from_args(args)
     spec = shift_spec_from_sources(args.spec, {})
     # every run's config is checked before anything is written or trained
-    configs = [replace(base_config, mode=mode, seed=seed)
-               for mode in (MODES if args.modes is None else args.modes.split(","))
-               for seed in _parse_seeds(args.seeds)]
+    modes = MODES if args.modes is None else args.modes.split(",")
+    per_seed = [[replace(base_config, mode=mode, seed=seed) for mode in modes]
+                for seed in _parse_seeds(args.seeds)]
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, {**base_config.to_dict(), "seeds": args.seeds})
-    rows = []
-    for config in configs:
-        result = run_experiment(replace(spec, seed=config.seed), config)
-        rows.append({"mode": config.mode, "seed": config.seed,
-                     "test_micro": result["test_micro"],
-                     "test_macro": result["test_macro"],
-                     "source_test_micro": result["source_test_micro"]})
+    results = []
+    for configs in per_seed:  # one source model per seed, shared by every mode
+        outcomes = run_experiment(replace(spec, seed=configs[0].seed), configs)
+        results.append([_unwrap(outcome) for outcome in outcomes])  # the first error exits 1
+    rows = [{"mode": r["mode"], "seed": r["seed"], "test_micro": r["test_micro"],
+             "test_macro": r["test_macro"], "source_test_micro": r["source_test_micro"]}
+            for per_mode in zip(*results) for r in per_mode]
     with open(os.path.join(args.out, "ablation.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

@@ -141,13 +141,13 @@ class RunRecord:
     def epoch_lines(self) -> list[str]:
         return [json.dumps(e, sort_keys=True) for e in self.epochs]
 
-    def save(self, out_dir: str, prefix: str = "") -> None:
-        with open(os.path.join(out_dir, f"{prefix}epochs.jsonl"), "w") as fh:
+    def save(self, out_dir: str) -> None:
+        with open(os.path.join(out_dir, "epochs.jsonl"), "w") as fh:
             for line in self.epoch_lines():
                 fh.write(line + "\n")
-        with open(os.path.join(out_dir, f"{prefix}summary.json"), "w") as fh:
+        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             fh.write(self.summary_json() + "\n")
-        with open(os.path.join(out_dir, f"{prefix}meta.json"), "w") as fh:
+        with open(os.path.join(out_dir, "meta.json"), "w") as fh:
             json.dump({"wall_clock_sec": self.wall_clock_sec}, fh)
             fh.write("\n")
 
@@ -470,7 +470,7 @@ def adapt(source_model: Model, target_train: Dataset,
 
 @dataclass
 class Benchmark:
-    """The six datasets of one benchmark instance. Target-train labels exist
+    """The five datasets of one benchmark instance. Target-train labels exist
     here only for diagnostics and oracle accounting; adaptation always gets
     the unlabeled view."""
 
@@ -496,28 +496,54 @@ def prepare_benchmark(spec: DomainShiftSpec, split_ratio: float = 0.8,
     return Benchmark(source_train, source_val, source_test, target_train, target_test)
 
 
-def run_experiment(spec: DomainShiftSpec, config: TrainConfig,
-                   eval_per_epoch: bool = False) -> dict:
+def run_experiment(spec: DomainShiftSpec, config: TrainConfig | list[TrainConfig]) -> dict | list:
     """Full pipeline on one benchmark seed: pre-train, adapt per config.mode,
-    evaluate source-only and adapted models on the target test set."""
+    evaluate source-only and adapted models on the target test set.
+
+    Returns the result dict. `config` may also be a list of configs that
+    differ only in mode, p_th, alpha, beta and lambda, which never reach
+    source training; the result is then a list holding, per config, its dict
+    or the DmaplError its run raised, each bit-identical to the run of that
+    config alone. The benchmark, the source model and its evaluation are
+    made once, and an error there is raised; configs with one
+    `_lockstep_key` adapt together.
+    """
+    configs = [config] if isinstance(config, TrainConfig) else list(config)
+    if not configs:
+        raise ValueError("no configs to run")
+    if len({replace(_lockstep_key(c), mode=MODES[0], p_th=0.5) for c in configs}) > 1:
+        raise ValueError("configs run together may differ only in mode, p_th, alpha, beta "
+                         "and lambda")
     bench = prepare_benchmark(spec)
-    source_model, source_record = train_source(bench.source_train, bench.source_val, config)
+    source_model, source_record = train_source(bench.source_train, bench.source_val, configs[0])
     source_metrics = evaluate(source_model, bench.target_test)
-    adapted, record = adapt(source_model, bench.target_train.without_labels(), config,
-                            diagnostic_labels=bench.target_train.labels,
-                            eval_data=bench.target_test if eval_per_epoch else None)
-    adapted_metrics = evaluate(adapted, bench.target_test)
-    return {
-        "mode": config.mode,
-        "seed": spec.seed,
-        "source_val_micro": source_record.final["best_val_micro"],
-        "source_test_macro": source_metrics.macro,
-        "source_test_micro": source_metrics.micro,
-        "test_macro": adapted_metrics.macro,
-        "test_micro": adapted_metrics.micro,
-        "split": record.split,
-        "record": record,
-    }
+    target = bench.target_train.without_labels()
+    groups: dict[TrainConfig, list[int]] = {}
+    for i, c in enumerate(configs):
+        groups.setdefault(_lockstep_key(c), []).append(i)
+    outcomes: list = [None] * len(configs)
+    for members in groups.values():
+        results = adapt(source_model, target, [configs[i] for i in members],
+                        diagnostic_labels=bench.target_train.labels)
+        for i, result in zip(members, results):
+            try:
+                adapted, record = _unwrap(result)
+                metrics = evaluate(adapted, bench.target_test)
+            except DmaplError as exc:
+                outcomes[i] = exc
+                continue
+            outcomes[i] = {
+                "mode": configs[i].mode,
+                "seed": spec.seed,
+                "source_val_micro": source_record.final["best_val_micro"],
+                "source_test_macro": source_metrics.macro,
+                "source_test_micro": source_metrics.micro,
+                "test_macro": metrics.macro,
+                "test_micro": metrics.micro,
+                "split": record.split,
+                "record": record,
+            }
+    return _unwrap(outcomes[0]) if isinstance(config, TrainConfig) else outcomes
 
 
 SWEEPABLE = ("p_th", "alpha", "beta", "lambda")
@@ -532,43 +558,28 @@ def _cell_config(base: TrainConfig, keys: list[str], cell: tuple) -> TrainConfig
 
 
 def _sweep_one_seed(args: tuple) -> list[dict]:
-    spec, config, keys, cells, cell_configs = args
-    bench = prepare_benchmark(spec)
-    source_model, _ = train_source(bench.source_train, bench.source_val, config)
-    target = bench.target_train.without_labels()
-    groups: dict[TrainConfig, list[int]] = {}
-    for i, cell_config in enumerate(cell_configs):
-        groups.setdefault(_lockstep_key(cell_config), []).append(i)
-    outcomes: list = [None] * len(cells)
-    for members in groups.values():
-        results = adapt(source_model, target, [cell_configs[i] for i in members],
-                        diagnostic_labels=bench.target_train.labels)
-        for i, result in zip(members, results):
-            outcomes[i] = result
+    spec, keys, cells, cell_configs = args
     rows = []
-    for cell, outcome in zip(cells, outcomes):
-        row = {k: v for k, v in zip(keys, cell)}
-        row["seed"] = config.seed
-        try:
-            adapted, record = _unwrap(outcome)
-            metrics = evaluate(adapted, bench.target_test)
-            row.update(ratio=record.split["ratio"], pl_acc=record.split["pl_accuracy"],
-                       test_acc=metrics.micro, error=None)
-        except DmaplError as exc:
-            row.update(ratio=None, pl_acc=None, test_acc=None, error=str(exc))
+    for cell, config, result in zip(cells, cell_configs, run_experiment(spec, cell_configs)):
+        row = dict(zip(keys, cell), seed=config.seed)
+        if isinstance(result, DmaplError):
+            row.update(ratio=None, pl_acc=None, test_acc=None, error=str(result))
+        else:
+            row.update(ratio=result["split"]["ratio"], pl_acc=result["split"]["pl_accuracy"],
+                       test_acc=result["test_micro"], error=None)
         rows.append(row)
     return rows
 
 
 def sweep(spec: DomainShiftSpec, base_config: TrainConfig, grid: dict[str, list],
           seeds: list[int] | None = None, jobs: int = 1) -> list[dict]:
-    """One adaptation run per (grid cell, seed). The source model is trained
-    once per seed and shared across cells (the sweepable parameters only touch
-    adaptation). Cells of one seed that share `p_th` share the split too and
-    run in lockstep through `adapt`; every row is bit-identical to a
-    run of its cell alone. Every cell's config is validated before any
-    training. A cell that fails at runtime is recorded with its error and the
-    sweep continues. Rows come back in deterministic (seed, cell) order."""
+    """One adaptation run per (grid cell, seed). The cells of one seed go
+    through one `run_experiment` call, so the source model is trained once
+    per seed, and cells that share `p_th` adapt in lockstep; every row is
+    bit-identical to a run of its cell alone. Every cell's config and the
+    seed list are validated before any training. A cell that fails at
+    runtime is recorded with its error and the sweep continues. Rows come
+    back in deterministic (seed, cell) order."""
     if not grid:
         raise ValueError("empty grid")
     unknown = set(grid) - set(SWEEPABLE)
@@ -582,11 +593,11 @@ def sweep(spec: DomainShiftSpec, base_config: TrainConfig, grid: dict[str, list]
     cells = list(itertools.product(*(grid[k] for k in keys)))
     if seeds is None:
         seeds = [base_config.seed]
-    work = []
-    for seed in seeds:
-        config = replace(base_config, seed=seed)
-        work.append((replace(spec, seed=seed), config, keys, cells,
-                     [_cell_config(config, keys, cell) for cell in cells]))
+    if not seeds:
+        raise ValueError("no seeds to sweep")
+    work = [(replace(spec, seed=seed), keys, cells,
+             [_cell_config(replace(base_config, seed=seed), keys, cell) for cell in cells])
+            for seed in seeds]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

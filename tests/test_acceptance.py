@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 The experiment-level criteria (7-9) share one set of benchmark runs: the
-default synthetic shifted benchmark, five seeds, with the source model
-trained once per seed and reused across adaptation variants.
+default synthetic shifted benchmark, five seeds, one `run_experiment` call
+per seed, so the source model is trained once per seed and shared by every
+adaptation variant.
 """
 
 import time
@@ -14,13 +15,13 @@ import pytest
 
 from dmapl.cli import main as cli_main
 from dmapl.datasets import Dataset, DomainShiftSpec
-from dmapl.evaluation import confusion_metrics, evaluate
+from dmapl.evaluation import confusion_metrics
 from dmapl.losses import labeled_ce, soft_ce
 from dmapl.model import Model, ModelConfig, cosine_lr
 from dmapl.numkit import make_rng, one_hot, softmax
 from dmapl.pseudolabel import CentroidBank, SoftLabelStore, class_feature_means
 from dmapl.splitter import split_target
-from dmapl.trainer import TrainConfig, adapt, prepare_benchmark, train_source
+from dmapl.trainer import TrainConfig, run_experiment
 
 
 @contextmanager
@@ -244,37 +245,24 @@ def benchmark_runs():
     start = time.perf_counter()
     results = []
     for seed in range(5):
-        spec = DomainShiftSpec(seed=seed)
         config = TrainConfig(seed=seed)
-        bench = prepare_benchmark(spec)
-        source_model, _ = train_source(bench.source_train, bench.source_val, config)
-        unlabeled = bench.target_train.without_labels()
-
-        def run(**overrides):
-            cfg = replace(config, **overrides)
-            adapted, record = adapt(source_model, unlabeled, cfg,
-                                    diagnostic_labels=bench.target_train.labels)
-            return evaluate(adapted, bench.target_test).micro, record
-
-        entry = {"seed": seed,
-                 "source_only": evaluate(source_model, bench.target_test).micro}
-        entry["dmapl"], dmapl_record = run(mode="dmapl")
-        entry["naive_pl"], _ = run(mode="naive_pl")
-        entry["soft_label_no_split"], _ = run(mode="soft_label_no_split")
-        entry["by_p_th"] = {}
-        for p_th in P_TH_GRID:
-            if p_th == config.p_th:
-                record = dmapl_record
-                acc = entry["dmapl"]
-            else:
-                acc, record = run(mode="dmapl", p_th=p_th)
-            entry["by_p_th"][p_th] = {"ratio": record.split["ratio"],
-                                      "pl_accuracy": record.split["pl_accuracy"],
-                                      "test_acc": acc}
-        entry["by_lambda"] = {}
-        for lam in LAMBDA_GRID:
-            entry["by_lambda"][lam] = entry["dmapl"] if lam == config.lam \
-                else run(mode="dmapl", lam=lam)[0]
+        configs = {mode: replace(config, mode=mode)
+                   for mode in ("dmapl", "naive_pl", "soft_label_no_split")}
+        configs.update({("p_th", p_th): replace(config, p_th=p_th)
+                        for p_th in P_TH_GRID if p_th != config.p_th})
+        configs.update({("lambda", lam): replace(config, lam=lam)
+                        for lam in LAMBDA_GRID if lam != config.lam})
+        runs = dict(zip(configs, run_experiment(DomainShiftSpec(seed=seed),
+                                                list(configs.values()))))
+        runs[("p_th", config.p_th)] = runs[("lambda", config.lam)] = runs["dmapl"]
+        entry = {"seed": seed, "source_only": runs["dmapl"]["source_test_micro"]}
+        for mode in ("dmapl", "naive_pl", "soft_label_no_split"):
+            entry[mode] = runs[mode]["test_micro"]
+        entry["by_p_th"] = {p_th: {"ratio": runs["p_th", p_th]["split"]["ratio"],
+                                   "pl_accuracy": runs["p_th", p_th]["split"]["pl_accuracy"],
+                                   "test_acc": runs["p_th", p_th]["test_micro"]}
+                            for p_th in P_TH_GRID}
+        entry["by_lambda"] = {lam: runs["lambda", lam]["test_micro"] for lam in LAMBDA_GRID}
         results.append(entry)
     return {"per_seed": results, "elapsed": time.perf_counter() - start}
 

@@ -230,7 +230,8 @@ def test_sweep_cli_malformed_grid(tmp_path, capsys):
     assert "malformed grid" in capsys.readouterr().err
 
 
-def test_ablate_cli(tmp_path):
+def test_ablate_cli(tmp_path, monkeypatch):
+    calls = counting_train_source(monkeypatch, pass_through=True)
     spec = tmp_path / "spec.txt"
     spec.write_text("samples_per_class = 60\n")
     out = tmp_path / "ablate"
@@ -239,8 +240,23 @@ def test_ablate_cli(tmp_path):
                    "--source-epochs", 6, "--adapt-epochs", 2) == 0
     rows = (out / "ablation.csv").read_text().strip().splitlines()
     assert len(rows) == 5  # header + 2 modes x 2 seeds
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        ["source_only", "0"], ["source_only", "1"], ["dmapl", "0"], ["dmapl", "1"]]
     means = json.loads((out / "ablation_summary.json").read_text())
     assert set(means) == {"source_only", "dmapl"}
+    assert len(calls) == 2  # one source model per seed
+
+
+def test_ablate_run_error_exits_1(tmp_path, capsys):
+    # an undertrained source model leaves nothing above a 0.999 threshold
+    spec = tmp_path / "spec.txt"
+    spec.write_text("samples_per_class = 60\n")
+    out = tmp_path / "ablate"
+    assert run_cli("ablate", "--spec", spec, "--seeds", "11", "--out", out,
+                   "--modes", "source_only,dmapl", "--p-th", 0.999,
+                   "--source-epochs", 1, "--adapt-epochs", 1) == 1
+    assert "no confident instances" in capsys.readouterr().err
+    assert not (out / "ablation.csv").exists()
 
 
 def test_adapt_config_with_removed_encoder_lr_scale_key_fails(data_dir, source_dir, tmp_path,
@@ -253,14 +269,19 @@ def test_adapt_config_with_removed_encoder_lr_scale_key_fails(data_dir, source_d
     assert "unknown config keys: ['encoder_lr_scale']" in capsys.readouterr().err
 
 
-def counting_train_source(monkeypatch):
+def counting_train_source(monkeypatch, pass_through=False):
+    """Record every `dmapl.trainer.train_source` call; without `pass_through`
+    a call fails the test."""
     calls = []
+    train_source = dmapl.trainer.train_source
 
-    def no_training(*args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(args)
-        raise AssertionError("train_source ran before the arguments were checked")
+        if not pass_through:
+            raise AssertionError("train_source ran before the arguments were checked")
+        return train_source(*args, **kwargs)
 
-    monkeypatch.setattr(dmapl.trainer, "train_source", no_training)
+    monkeypatch.setattr(dmapl.trainer, "train_source", counted)
     return calls
 
 

@@ -10,6 +10,7 @@ from dmapl.model import DivergenceError
 from dmapl.splitter import split_target
 from dmapl.trainer import (TrainConfig, adapt, prepare_benchmark, run_experiment,
                            sweep, train_source)
+from test_cli import counting_train_source
 
 FAST = dict(source_epochs=8, adapt_epochs=5, samples=150)
 
@@ -225,6 +226,36 @@ def test_run_experiment_pipeline_deterministic():
     assert r1["test_micro"] == r2["test_micro"]
 
 
+def test_run_experiment_list_equals_solo_runs(monkeypatch):
+    spec, config, _ = fast_setup(seed=4)
+    # out of group order, so results must come back per config, not per group
+    configs = [config, replace(config, p_th=0.8), replace(config, mode="source_only"),
+               replace(config, mode="naive_pl"), replace(config, lam=0.5),
+               replace(config, mode="soft_label_no_split")]
+    solo = [run_experiment(spec, c) for c in configs]
+    calls = counting_train_source(monkeypatch, pass_through=True)
+    listed = run_experiment(spec, configs)
+    assert len(calls) == 1
+    assert len(listed) == len(configs)
+    for one, many in zip(solo, listed):
+        assert many["record"].summary_json() == one["record"].summary_json()
+        assert many["record"].epoch_lines() == one["record"].epoch_lines()
+        assert {k: v for k, v in many.items() if k != "record"} == \
+            {k: v for k, v in one.items() if k != "record"}
+
+
+@pytest.mark.parametrize("difference", [{"source_epochs": 3}, {"seed": 1}])
+def test_run_experiment_rejects_configs_that_cannot_share_a_source_model(difference,
+                                                                        monkeypatch):
+    calls = counting_train_source(monkeypatch)
+    config = TrainConfig()
+    with pytest.raises(ValueError, match="may differ only in mode, p_th, alpha, beta"):
+        run_experiment(DomainShiftSpec(), [config, replace(config, **difference)])
+    with pytest.raises(ValueError, match="no configs"):
+        run_experiment(DomainShiftSpec(), [])
+    assert calls == []
+
+
 # ---- sweep ----
 
 def test_sweep_single_cell_matches_direct_adaptation():
@@ -251,6 +282,13 @@ def test_sweep_validates_grid():
         sweep(spec, TrainConfig(), {"momentum": [0.5]})
     with pytest.raises(ValueError, match="empty grid axis"):
         sweep(spec, TrainConfig(), {"p_th": []})
+
+
+def test_sweep_rejects_empty_seed_list_before_training(monkeypatch):
+    calls = counting_train_source(monkeypatch)
+    with pytest.raises(ValueError, match="no seeds"):
+        sweep(DomainShiftSpec(samples_per_class=50), TrainConfig(), {"alpha": [0.5]}, seeds=[])
+    assert calls == []
 
 
 def test_sweep_records_cell_failure_and_continues():
