@@ -14,7 +14,9 @@ import sys
 from statistics import mean
 
 from dmapl import TrainConfig, sweep
+from dmapl.cli import _parse_seeds
 from dmapl.configio import shift_spec_from_sources
+from dmapl.numkit import DmaplError
 
 
 def aggregate(rows, keys, fields=("ratio", "pl_acc", "test_acc")):
@@ -46,8 +48,12 @@ def main() -> int:
     parser.add_argument("--out", default="runs/sweeps")
     args = parser.parse_args()
 
-    spec = shift_spec_from_sources(args.spec, {})
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        spec = shift_spec_from_sources(args.spec, {})
+        seeds = _parse_seeds(args.seeds)
+    except (DmaplError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     config = TrainConfig()
     os.makedirs(args.out, exist_ok=True)
 

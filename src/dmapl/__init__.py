@@ -9,7 +9,7 @@ Evaluation happens on a held-out target test set.
 
 from .datasets import Dataset, DomainShiftSpec, generate_domain_pair, load_csv, save_csv, stratified_split
 from .evaluation import Metrics, evaluate
-from .losses import LossReport, labeled_ce, soft_ce, total_loss
+from .losses import labeled_ce, soft_ce
 from .model import Model, ModelConfig, SgdMomentum, cosine_lr, load_model, save_model
 from .pseudolabel import CentroidBank, SoftLabelStore, class_feature_means
 from .splitter import SplitResult, split_diagnostics, split_target
@@ -19,11 +19,10 @@ from .trainer import (Benchmark, RunRecord, TrainConfig, adapt, prepare_benchmar
 __version__ = "0.1.0"
 
 __all__ = [
-    "Benchmark", "CentroidBank", "Dataset", "DomainShiftSpec", "LossReport",
-    "Metrics", "Model", "ModelConfig", "RunRecord", "SgdMomentum", "SoftLabelStore",
-    "SplitResult", "TrainConfig", "adapt", "class_feature_means", "cosine_lr",
-    "evaluate", "generate_domain_pair", "labeled_ce", "load_csv", "load_model",
-    "prepare_benchmark", "run_experiment", "save_csv", "save_model", "soft_ce",
-    "split_diagnostics", "split_target", "stratified_split", "sweep", "total_loss",
-    "train_source",
+    "Benchmark", "CentroidBank", "Dataset", "DomainShiftSpec", "Metrics", "Model",
+    "ModelConfig", "RunRecord", "SgdMomentum", "SoftLabelStore", "SplitResult",
+    "TrainConfig", "adapt", "class_feature_means", "cosine_lr", "evaluate",
+    "generate_domain_pair", "labeled_ce", "load_csv", "load_model", "prepare_benchmark",
+    "run_experiment", "save_csv", "save_model", "soft_ce", "split_diagnostics",
+    "split_target", "stratified_split", "sweep", "train_source",
 ]

@@ -27,8 +27,8 @@ from .evaluation import evaluate, format_metrics_table
 from .model import load_model, save_model
 from .numkit import DmaplError
 from .splitter import save_split_csv, split_diagnostics, split_target
-from .trainer import (MODES, _unwrap, adapt, prepare_benchmark, run_experiment, sweep,
-                      train_source)
+from .trainer import (MODES, TrainConfig, _unwrap, adapt, prepare_benchmark, run_experiment,
+                      sweep, train_source)
 
 
 def _prepare_out_dir(path: str, force: bool) -> None:
@@ -42,35 +42,24 @@ def _write_resolved_config(out_dir: str, values: dict, name: str = "resolved_con
         fh.write(format_flat_config(values))
 
 
+# the config keys whose flag takes a string, with their other argparse options
+_STRING_FLAGS = {"mode": {"choices": MODES},
+                 "hidden_dims": {"help": "comma-separated encoder widths, e.g. 32,16"}}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One override flag per TrainConfig key (`--p-th` sets `p_th`), typed
+    like the key's default."""
     parser.add_argument("--config", help="flat key-value config file")
     grp = parser.add_argument_group("config overrides")
-    grp.add_argument("--seed", type=int, dest="seed")
-    grp.add_argument("--mode", choices=MODES, dest="mode")
-    grp.add_argument("--p-th", type=float, dest="p_th")
-    grp.add_argument("--alpha", type=float, dest="alpha")
-    grp.add_argument("--beta", type=float, dest="beta")
-    grp.add_argument("--lambda", type=float, dest="lambda_")
-    grp.add_argument("--eta-0", type=float, dest="eta_0")
-    grp.add_argument("--eta-1", type=float, dest="eta_1")
-    grp.add_argument("--momentum", type=float, dest="momentum")
-    grp.add_argument("--weight-decay", type=float, dest="weight_decay")
-    grp.add_argument("--source-epochs", type=int, dest="source_epochs")
-    grp.add_argument("--adapt-epochs", type=int, dest="adapt_epochs")
-    grp.add_argument("--batch-size-l", type=int, dest="batch_size_l")
-    grp.add_argument("--batch-size-u", type=int, dest="batch_size_u")
-    grp.add_argument("--hidden-dims", dest="hidden_dims",
-                     help="comma-separated encoder widths, e.g. 32,16")
-    grp.add_argument("--bottleneck-dim", type=int, dest="bottleneck_dim")
+    for key, default in TrainConfig().to_dict().items():
+        grp.add_argument("--" + key.replace("_", "-"), dest=key,
+                         type=str if key in _STRING_FLAGS else type(default),
+                         **_STRING_FLAGS.get(key, {}))
 
 
 def _config_from_args(args: argparse.Namespace):
-    overrides = {key: getattr(args, key) for key in (
-        "seed", "mode", "p_th", "alpha", "beta", "eta_0", "eta_1", "momentum",
-        "weight_decay", "source_epochs", "adapt_epochs", "batch_size_l",
-        "batch_size_u", "hidden_dims", "bottleneck_dim") if hasattr(args, key)}
-    if getattr(args, "lambda_", None) is not None:
-        overrides["lambda"] = args.lambda_
+    overrides = {key: getattr(args, key) for key in TrainConfig().to_dict()}
     return train_config_from_sources(getattr(args, "config", None), overrides)
 
 

@@ -33,7 +33,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray | None
     num_classes: int
-    domain_tag: str = ""
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -59,12 +58,11 @@ class Dataset:
         return self.labels is not None
 
     def without_labels(self) -> "Dataset":
-        return Dataset(self.features.copy(), None, self.num_classes, self.domain_tag)
+        return Dataset(self.features.copy(), None, self.num_classes)
 
-    def subset(self, indices: np.ndarray, domain_tag: str | None = None) -> "Dataset":
+    def subset(self, indices: np.ndarray) -> "Dataset":
         labels = self.labels[indices] if self.labels is not None else None
-        return Dataset(self.features[indices], labels, self.num_classes,
-                       self.domain_tag if domain_tag is None else domain_tag)
+        return Dataset(self.features[indices], labels, self.num_classes)
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,7 @@ def rotation_matrix(degrees: float, dim: int) -> np.ndarray:
 
 
 def sample_gaussian_clusters(centers: np.ndarray, samples_per_class: int,
-                             noise_sigma: float, seed: int,
-                             domain_tag: str = "") -> Dataset:
+                             noise_sigma: float, seed: int) -> Dataset:
     """Draw `samples_per_class` points per center with isotropic Gaussian noise."""
     rng = make_rng(seed)
     num_classes, dim = centers.shape
@@ -150,7 +147,7 @@ def sample_gaussian_clusters(centers: np.ndarray, samples_per_class: int,
         for c in range(num_classes)
     ])
     labels = np.repeat(np.arange(num_classes), samples_per_class)
-    return Dataset(features, labels, num_classes, domain_tag)
+    return Dataset(features, labels, num_classes)
 
 
 def generate_domain_pair(spec: DomainShiftSpec) -> tuple[Dataset, Dataset]:
@@ -162,11 +159,11 @@ def generate_domain_pair(spec: DomainShiftSpec) -> tuple[Dataset, Dataset]:
     centers = class_centers(spec.num_classes, spec.feature_dim, spec.class_separation)
     source_seed, target_seed = np.random.SeedSequence(spec.seed).generate_state(2)
     source = sample_gaussian_clusters(centers, spec.samples_per_class,
-                                      spec.noise_sigma, int(source_seed), "source")
+                                      spec.noise_sigma, int(source_seed))
     rot = rotation_matrix(spec.shift_rotation_deg, spec.feature_dim)
     shifted = centers @ rot.T + spec.translation_vector()
     target = sample_gaussian_clusters(shifted, spec.samples_per_class,
-                                      spec.noise_sigma, int(target_seed), "target")
+                                      spec.noise_sigma, int(target_seed))
     return source, target
 
 
@@ -208,7 +205,7 @@ def save_csv(data: Dataset, path: str) -> None:
     textio.write_csv(path, header, columns, formats)
 
 
-def load_csv(path: str, num_classes: int | None = None, domain_tag: str = "") -> Dataset:
+def load_csv(path: str, num_classes: int | None = None) -> Dataset:
     """Load a dataset CSV written by save_csv (or hand-made in that format).
 
     With `num_classes` given, labels are validated against it; otherwise the
@@ -258,7 +255,7 @@ def load_csv(path: str, num_classes: int | None = None, domain_tag: str = "") ->
                     f"out of range for {num_classes} classes")
     if num_classes is None:
         num_classes = int(label_arr.max()) + 1 if has_label and label_arr.size else 0
-    return Dataset(features, label_arr, num_classes, domain_tag)
+    return Dataset(features, label_arr, num_classes)
 
 
 def _line_number(body: list[str], row: int) -> int:

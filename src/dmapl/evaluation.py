@@ -62,14 +62,12 @@ def evaluate(model: Model, test: Dataset) -> Metrics:
     return confusion_metrics(confusion)
 
 
-def format_metrics_table(metrics: Metrics, class_names: list[str] | None = None) -> str:
-    """Aligned plain-text table: per-class accuracy columns, then Macro, Micro
-    (percentages, one decimal). Absent classes render as a dash."""
+def format_metrics_table(metrics: Metrics) -> str:
+    """Aligned plain-text table: one accuracy column per class (class_0,
+    class_1, ...), then Macro, Micro (percentages, one decimal). Absent
+    classes render as a dash."""
     c = metrics.per_class_accuracy.shape[0]
-    names = class_names if class_names is not None else [f"class_{i}" for i in range(c)]
-    if len(names) != c:
-        raise ValueError("class_names length must match class count")
-    headers = [*names, "Macro", "Micro"]
+    headers = [*(f"class_{i}" for i in range(c)), "Macro", "Micro"]
     cells = []
     for acc, present in zip(metrics.per_class_accuracy, metrics.present):
         cells.append(f"{100 * acc:.1f}" if present else "-")

@@ -1,5 +1,5 @@
-"""Loss terms: hard CE on the confident subset, soft CE on the unlabeled
-subset, and their weighted combination.
+"""Loss terms: hard CE on the confident subset and soft CE on the unlabeled
+subset. The adaptation objective is loss_u + lambda * loss_l.
 
 Both losses are batch means so the trade-off weight keeps its meaning across
 batch sizes, and both return the analytic gradient on the logits. Soft-label
@@ -9,22 +9,12 @@ instance (q = 0) contributes zero loss and zero gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numkit import any_outside
 
 # probabilities are clamped here before the log so the loss stays bounded
 PROB_CLAMP = 1e-12
-
-
-@dataclass(frozen=True)
-class LossReport:
-    loss_l: float
-    loss_u: float
-    total: float
-    lam: float
 
 
 def labeled_ce(probs: np.ndarray, pseudo_labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -75,11 +65,3 @@ def soft_ce(probs: np.ndarray, q_batch: np.ndarray) -> tuple[float, np.ndarray]:
     loss = -(np.add.reduce(np.add.reduce(q * logp, axis=-1), axis=-1) / n)
     grad = (np.add.reduce(q, axis=-1, keepdims=True) * p - q) / n
     return (float(loss) if loss.ndim == 0 else loss), grad
-
-
-def total_loss(loss_u: float, loss_l: float, lam: float) -> LossReport:
-    """Combined objective: loss_u + lam * loss_l (the trade-off weight sits on
-    the labeled term). Per-cell (K,) arrays combine elementwise."""
-    if np.logical_or.reduce(np.asarray(lam) < 0, axis=None):
-        raise ValueError("lambda must be >= 0")
-    return LossReport(loss_l=loss_l, loss_u=loss_u, total=loss_u + lam * loss_l, lam=lam)

@@ -16,10 +16,6 @@ class DmaplError(Exception):
     """Base class for the package's domain errors (CLI maps these to exit 1)."""
 
 
-class ZeroNormError(DmaplError):
-    """Raised when asked to L2-normalize a (near-)zero vector."""
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; same seed, same draw sequence on every platform."""
     return np.random.Generator(np.random.PCG64(seed))
@@ -37,15 +33,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
         raise ValueError("non-finite logits")
     e = np.exp(z - np.maximum.reduce(z, axis=axis, keepdims=True))
     return e / np.add.reduce(e, axis=axis, keepdims=True)
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Return v / ||v||_2. Raises ZeroNormError when ||v||_2 <= 1e-12."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroNormError("zero-norm vector")
-    return v / norm
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -68,14 +55,3 @@ def any_outside(values: np.ndarray, bound: int) -> bool:
     least 2**63."""
     values = np.asarray(values, dtype=np.int64)
     return bool(values.size) and np.maximum.reduce(values.view(np.uint64), axis=None) >= bound
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Integer class labels of any shape -> one-hot float64 array with a
-    trailing class axis: (n,) -> (n, num_classes)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if any_outside(labels, num_classes):
-        raise ValueError("label out of range")
-    out = np.zeros(labels.shape + (num_classes,))
-    out.reshape(-1, num_classes)[np.arange(labels.size), labels.ravel()] = 1.0
-    return out

@@ -2,11 +2,11 @@
 
 Two exponential moving averages drive the soft pseudo-labels of the unlabeled
 subset: class centroids over L2-normalized bottleneck features (coefficient
-alpha), and per-instance soft-label vectors built from one-hot prototypical
-assignments (coefficient beta).
+alpha), and per-instance soft-label vectors averaged over the instance's
+prototypical class assignments (coefficient beta).
 
 Per-instance update counters make the soft-label mass identity testable: after
-t one-hot updates the L1 mass of an instance's soft label is exactly 1 - beta^t.
+t updates the L1 mass of an instance's soft label is exactly 1 - beta^t.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import textio
-from .numkit import ZERO_NORM_EPS, any_outside, one_hot
+from .numkit import ZERO_NORM_EPS, any_outside
 
 
 def class_feature_means(z_batch: np.ndarray, pseudo_labels: np.ndarray,
@@ -69,7 +69,6 @@ class CentroidBank:
 
     def __init__(self, num_classes: int, dim: int, alpha):
         coef = _coefficient(alpha, "alpha")
-        self.alpha = alpha
         self._alpha = coef[..., None, None]
         self.mu = np.zeros(coef.shape + (num_classes, dim))
         self.initialized = np.zeros(coef.shape + (num_classes,), dtype=bool)
@@ -83,10 +82,6 @@ class CentroidBank:
     def warm(self) -> np.ndarray:
         """Whether every class centroid is initialized, per cell."""
         return np.logical_and.reduce(self.initialized, axis=-1)
-
-    @property
-    def all_initialized(self) -> bool:
-        return bool(self.warm.all())
 
     def update(self, batch_means: np.ndarray, present: np.ndarray) -> None:
         """mu_c <- normalize(alpha * mu_c + (1 - alpha) * v_c) for present
@@ -112,11 +107,13 @@ class CentroidBank:
         self.initialized |= moved
 
     def assign(self, z_batch: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
-        """One-hot prototypical assignment: 1 at argmax_c z . mu_c per row
+        """Prototypical assignment: the class argmax_c z . mu_c per row
         (cosine similarity, both unit-norm); ties go to the lowest class index.
+        Returns (n,) class indices.
 
-        For a stacked bank z_batch is (K, n, dim); `cells`, a (K,) bool mask,
-        restricts the assignment (and the warm-up check) to those cells.
+        For a stacked bank z_batch is (K, n, dim) and the result (K, n);
+        `cells`, a (K,) bool mask, restricts the assignment (and the warm-up
+        check) to those cells, giving (cells.sum(), n).
         """
         mu, initialized = self.mu, self.initialized
         z = np.asarray(z_batch, dtype=np.float64)
@@ -127,22 +124,21 @@ class CentroidBank:
                 (~initialized).reshape(-1, self.num_classes).any(axis=0)).tolist()
             raise RuntimeError(f"prototype bank not warmed up (classes {missing} never seen)")
         sims = z @ mu.swapaxes(-1, -2)
-        return one_hot(sims.argmax(axis=-1), self.num_classes)
+        return sims.argmax(axis=-1)
 
 
 class SoftLabelStore:
     """Per-instance soft labels for the unlabeled subset.
 
-    q_i <- beta * q_i + (1 - beta) * onehot assignment, starting from zero
-    (not uniform), with a per-instance update counter t_i. The L1 mass of q_i
-    is then exactly 1 - beta^{t_i}. With a (K,) sequence of `beta` values
-    the store holds K independent cells: q is (K, n, C) and the counters
-    (K, n).
+    q_i <- beta * q_i + (1 - beta) * onehot(y_i) for the assigned class y_i,
+    starting from zero (not uniform), with a per-instance update counter t_i.
+    The L1 mass of q_i is then exactly 1 - beta^{t_i}. With a (K,) sequence
+    of `beta` values the store holds K independent cells: q is (K, n, C) and
+    the counters (K, n).
     """
 
     def __init__(self, n_instances: int, num_classes: int, beta):
         coef = _coefficient(beta, "beta")
-        self.beta = beta
         self._beta = coef[..., None, None]
         self.q = np.zeros(coef.shape + (n_instances, num_classes))
         self.update_counts = np.zeros(coef.shape + (n_instances,), dtype=np.int64)
@@ -155,26 +151,30 @@ class SoftLabelStore:
     def num_classes(self) -> int:
         return self.q.shape[-1]
 
-    def update(self, indices: np.ndarray, assigned_onehot: np.ndarray,
+    def update(self, indices: np.ndarray, classes: np.ndarray,
                cells: np.ndarray | None = None) -> None:
-        """Moving-average update for the listed instances only. For a
-        stacked store `assigned_onehot` is (K, len(indices), C), or covers
-        only the cells of the (K,) bool mask `cells`."""
+        """Moving-average update for the listed instances only: scale their
+        rows by beta, then add 1 - beta at each row's assigned class. For a
+        stacked store `classes` is (K, len(indices)), or covers only the
+        cells of the (K,) bool mask `cells`."""
         idx = np.asarray(indices, dtype=np.int64)
-        y = np.asarray(assigned_onehot, dtype=np.float64)
+        y = np.asarray(classes)
         if any_outside(idx, self.n_instances):
             raise IndexError("soft-label index out of range")
         beta, rows = self._beta, ((idx,) if self.q.ndim == 2 else (slice(None), idx))
         if cells is not None:
             beta, rows = beta[cells], np.ix_(np.flatnonzero(cells), idx)
         q = self.q[rows]
-        if y.shape != q.shape:
-            raise ValueError("assignment shape must be (len(indices), num_classes)")
-        # one nonzero entry per row and every row summing to exactly 1: one-hot
-        row_sums = np.add.reduce(y, axis=-1)
-        if np.count_nonzero(y) != row_sums.size or np.count_nonzero(row_sums != 1.0):
-            raise ValueError("assignments must be one-hot rows")
-        self.q[rows] = beta * q + (1.0 - beta) * y
+        if y.shape != q.shape[:-1]:
+            raise ValueError("assigned classes must align with the indexed rows")
+        if not np.issubdtype(y.dtype, np.integer) or any_outside(y, self.num_classes):
+            raise ValueError("assigned classes must be integers in [0, num_classes)")
+        # adding (1 - beta) * onehot(y) changes only the class entry: its
+        # zeros would add exactly +0.0 to the non-negative q
+        q *= beta
+        at = y[..., None]
+        np.put_along_axis(q, at, np.take_along_axis(q, at, -1) + (1.0 - beta), -1)
+        self.q[rows] = q
         self.update_counts[rows] += 1
 
     def save_csv(self, path: str) -> None:

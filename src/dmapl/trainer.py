@@ -25,7 +25,7 @@ import numpy as np
 
 from .datasets import Dataset, DomainShiftSpec, generate_domain_pair, stratified_split
 from .evaluation import evaluate
-from .losses import labeled_ce, soft_ce, total_loss
+from .losses import labeled_ce, soft_ce
 from .model import DivergenceError, Model, ModelConfig, SgdMomentum
 from .numkit import DmaplError, l2_normalize_rows, make_rng
 from .pseudolabel import CentroidBank, SoftLabelStore, class_feature_means
@@ -354,11 +354,11 @@ def _dual_average(source_model: Model, target_train: Dataset, configs: list[Trai
             grad_logits[:, nl:] = g_u
         else:
             loss_u = 0.0
-        report = total_loss(loss_u, loss_l, lam)
-        finite = np.isfinite(report.total)
+        total = loss_u + lam * loss_l
+        finite = np.isfinite(total)
         if not np.logical_and.reduce(finite):
             raise DivergenceError("non-finite adaptation loss", ~finite)
-        return cache, grad_logits, (report.loss_l, report.loss_u, report.total)
+        return cache, grad_logits, (loss_l, loss_u, total)
 
     iters_per_epoch = (math.ceil(n_u / config.batch_size_u) if n_u
                        else math.ceil(n_l / config.batch_size_l))

@@ -7,10 +7,13 @@ import pytest
 import dmapl.cli
 import dmapl.trainer
 from dmapl.cli import main
+from dmapl.configio import load_flat_config
 from dmapl.datasets import load_csv
 from dmapl.evaluation import evaluate
 from dmapl.model import load_model
+from dmapl.numkit import DmaplError
 from dmapl.splitter import save_split_csv, split_target
+from dmapl.trainer import TrainConfig
 
 
 def run_cli(*argv):
@@ -174,6 +177,42 @@ def test_adapt_config_file_with_flag_override(data_dir, source_dir, tmp_path):
     assert "p_th = 0.8" in text      # from the file
     assert "beta = 0.7" in text      # flag overrides the file
     assert "adapt_epochs = 2" in text
+
+
+# a value other than the default for every TrainConfig key, as the config files spell it
+NON_DEFAULT_CONFIG = {"p_th": 0.8, "alpha": 0.7, "beta": 0.6, "lambda": 0.5, "eta_0": 0.02,
+                      "eta_1": 0.002, "momentum": 0.8, "weight_decay": 0.01, "source_epochs": 3,
+                      "adapt_epochs": 2, "batch_size_l": 16, "batch_size_u": 32, "seed": 5,
+                      "mode": "soft_label_no_split", "hidden_dims": "16,8", "bottleneck_dim": 4}
+
+
+@pytest.mark.parametrize("command", ["train-source", "adapt", "ablate", "sweep"])
+def test_every_config_key_has_a_flag(command, data_dir, source_dir, tmp_path, monkeypatch):
+    expected = TrainConfig.from_dict(NON_DEFAULT_CONFIG)
+    assert set(NON_DEFAULT_CONFIG) == set(TrainConfig().to_dict())
+    assert all(getattr(expected, f) != getattr(TrainConfig(), f)
+               for f in TrainConfig.__dataclass_fields__)
+
+    def stop(*args, **kwargs):  # each command stops after writing its resolved config
+        raise DmaplError("stopped")
+
+    for name in ("train_source", "adapt", "run_experiment", "sweep"):
+        monkeypatch.setattr(dmapl.cli, name, stop)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"alpha": [0.5]}))
+    inputs = {"train-source": ("--train", data_dir / "source_train.csv",
+                               "--val", data_dir / "source_val.csv"),
+              "adapt": ("--source-model", source_dir / "source_model.txt",
+                        "--target-train", data_dir / "target_train.csv"),
+              "ablate": (), "sweep": ("--grid", grid)}
+    flags = [arg for key, value in NON_DEFAULT_CONFIG.items()
+             for arg in ("--" + key.replace("_", "-"), value)]
+    out = tmp_path / "out"
+    assert run_cli(command, *inputs[command], *flags, "--out", out) == 1
+    resolved = load_flat_config(str(out / "resolved_config.txt"))
+    resolved.pop("seeds", None)
+    assert set(resolved) == set(NON_DEFAULT_CONFIG)
+    assert TrainConfig.from_dict(resolved) == expected
 
 
 def test_adapt_missing_config_uses_defaults(data_dir, source_dir, tmp_path):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dmapl.losses import LossReport, labeled_ce, soft_ce, total_loss
-from dmapl.numkit import make_rng, one_hot, softmax
+from dmapl.losses import labeled_ce, soft_ce
+from dmapl.numkit import make_rng, softmax
 
 
 def fd_grad_on_logits(loss_from_logits, logits, step=1e-5):
@@ -20,7 +20,7 @@ def fd_grad_on_logits(loss_from_logits, logits, step=1e-5):
 
 
 def test_labeled_ce_perfect_prediction_zero_loss():
-    probs = one_hot(np.array([0, 1]), 2)
+    probs = np.eye(2)[[0, 1]]
     loss, _ = labeled_ce(probs, np.array([0, 1]))
     assert loss == 0.0
 
@@ -66,7 +66,7 @@ def test_soft_ce_reduces_to_labeled_ce_on_onehot():
     probs = softmax(rng.normal(size=(6, 4)), axis=1)
     labels = rng.integers(0, 4, size=6)
     l_hard, g_hard = labeled_ce(probs, labels)
-    l_soft, g_soft = soft_ce(probs, one_hot(labels, 4))
+    l_soft, g_soft = soft_ce(probs, np.eye(4)[labels])
     assert abs(l_hard - l_soft) < 1e-12
     np.testing.assert_allclose(g_hard, g_soft, atol=1e-12)
 
@@ -106,11 +106,11 @@ def test_losses_equal_their_one_hot_formulas(cells):
     shape = (40, 5) if cells is None else (cells, 40, 5)
     p = softmax(rng.normal(size=shape) * 4.0)
     labels = rng.integers(0, 5, size=40)
-    q = 0.3 * one_hot(rng.integers(0, 5, size=shape[:-1]), 5)
+    q = 0.3 * np.eye(5)[rng.integers(0, 5, size=shape[:-1])]
     loss, grad = labeled_ce(p, labels)
     picked = np.ascontiguousarray(p[..., np.arange(40), labels])
     np.testing.assert_array_equal(loss, -np.log(np.clip(picked, 1e-12, None)).mean(axis=-1))
-    np.testing.assert_array_equal(grad, (p - one_hot(labels, 5)) / 40)
+    np.testing.assert_array_equal(grad, (p - np.eye(5)[labels]) / 40)
     loss, grad = soft_ce(p, q)
     logp = np.log(np.clip(p, 1e-12, None))
     np.testing.assert_array_equal(loss, -(q * logp).sum(axis=-1).mean(axis=-1))
@@ -128,15 +128,6 @@ def test_soft_ce_empty_batch():
     with pytest.raises(ValueError, match="empty"):
         soft_ce(np.zeros((0, 2)), np.zeros((0, 2)))
 
-
-def test_total_loss_combination():
-    report = total_loss(1.0, 0.5, 1.0)
-    assert report == LossReport(loss_l=0.5, loss_u=1.0, total=1.5, lam=1.0)
-    assert total_loss(0.7, 123.0, 0.0).total == 0.7
-    # the trade-off weight multiplies the labeled term, not the soft term
-    assert total_loss(2.0, 1.0, 0.01).total == pytest.approx(2.01, abs=1e-15)
-    with pytest.raises(ValueError):
-        total_loss(1.0, 1.0, -0.5)
 
 
 @pytest.mark.parametrize("cells", [1, 2, 3, 9])

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dmapl.numkit import (ZeroNormError, any_outside, l2_normalize, l2_normalize_rows,
-                          make_rng, one_hot, softmax)
+from dmapl.numkit import any_outside, l2_normalize_rows, make_rng, softmax
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -50,26 +49,6 @@ def test_softmax_shift_invariance(logits, shift):
     np.testing.assert_allclose(softmax(v + shift), softmax(v), atol=1e-12)
 
 
-def test_l2_normalize_examples():
-    np.testing.assert_allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
-    np.testing.assert_allclose(l2_normalize(np.array([0.0, -5.0])), [0.0, -1.0], atol=1e-15)
-
-
-def test_l2_normalize_zero_vector_errors():
-    with pytest.raises(ZeroNormError, match="zero-norm"):
-        l2_normalize(np.zeros(3))
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=8))
-def test_l2_normalize_idempotent(values):
-    v = np.asarray(values)
-    if np.linalg.norm(v) <= 1e-6:
-        return
-    once = l2_normalize(v)
-    np.testing.assert_allclose(l2_normalize(once), once, atol=1e-12)
-    assert abs(np.linalg.norm(once) - 1.0) < 1e-12
-
-
 def test_l2_normalize_rows_keeps_zero_rows():
     m = np.array([[3.0, 4.0], [0.0, 0.0]])
     out = l2_normalize_rows(m)
@@ -82,13 +61,6 @@ def test_rng_reproducible_first_10k_draws():
     b = make_rng(1234).random(10_000)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, make_rng(1235).random(10_000))
-
-
-def test_one_hot():
-    out = one_hot(np.array([2, 0]), 3)
-    np.testing.assert_array_equal(out, [[0, 0, 1], [1, 0, 0]])
-    with pytest.raises(ValueError):
-        one_hot(np.array([3]), 3)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint32])

@@ -53,6 +53,7 @@ def test_partition_exhaustive_and_disjoint():
     assert set(result.labeled_indices) & set(result.unlabeled_indices) == set()
 
 
+@pytest.mark.filterwarnings("ignore:unlabeled subset is empty")
 def test_threshold_monotonicity_set_inclusion():
     rng = make_rng(4)
     data = Dataset(rng.normal(size=(200, 2), scale=2.0), None, 2)
@@ -112,6 +113,7 @@ def test_split_is_deterministic():
     np.testing.assert_array_equal(a.pseudo_labels, b.pseudo_labels)
 
 
+@pytest.mark.filterwarnings("ignore:unlabeled subset is empty")
 def test_ratio_decreases_and_pl_accuracy_rises_on_benchmark():
     # seeded benchmark sweep mirrors the confidence-threshold trend plots
     thresholds = (0.5, 0.7, 0.9, 0.99)

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from dmapl.datasets import (CsvFormatError, DomainShiftSpec, generate_domain_pair, load_csv,
                             save_csv)
 from dmapl.model import Model, ModelConfig, ModelFormatError, load_model, save_model
-from dmapl.numkit import make_rng, one_hot
+from dmapl.numkit import make_rng
 from dmapl.pseudolabel import SoftLabelStore
 from dmapl.splitter import save_split_csv, split_target
 
@@ -40,7 +40,7 @@ def _write_golden_files(out) -> dict[str, bytes]:
     rng = make_rng(5)
     for _ in range(4):
         rows = rng.permutation(7)[:4]
-        store.update(rows, one_hot(rng.integers(0, 3, size=4), 3))
+        store.update(rows, rng.integers(0, 3, size=4))
     assert len(set(store.update_counts.tolist())) > 1
 
     paths = {name: out / name for name in

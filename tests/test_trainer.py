@@ -138,6 +138,16 @@ def test_adapt_epoch_log_is_json_lines(tmp_path):
     assert meta["wall_clock_sec"] > 0
 
 
+def test_adapt_loss_total_weights_the_labeled_term_by_lambda():
+    _, config, bench = fast_setup(seed=4, lam=0.25)
+    model, _ = train_source(bench.source_train, bench.source_val, config)
+    _, record = adapt(model, bench.target_train.without_labels(), config)
+    assert any(e["loss_l"] > 0 and e["loss_u"] > 0 for e in record.epochs)
+    for e in record.epochs:
+        # epoch means of per-step totals, so equal up to rounding
+        assert e["loss_total"] == pytest.approx(e["loss_u"] + 0.25 * e["loss_l"], rel=1e-12)
+
+
 def test_degenerate_all_confident_split_still_terminates():
     _, config, bench = fast_setup(seed=5)
     model, _ = train_source(bench.source_train, bench.source_val, config)
