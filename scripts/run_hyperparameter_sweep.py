@@ -8,18 +8,27 @@ Example:
 """
 
 import argparse
-import csv
 import os
 import sys
 from statistics import mean
 
 from dmapl import TrainConfig, sweep
-from dmapl.cli import _parse_seeds
+from dmapl.cli import _parse_seeds, _write_table
 from dmapl.configio import shift_spec_from_sources
 from dmapl.numkit import DmaplError
 
 
-def aggregate(rows, keys, fields=("ratio", "pl_acc", "test_acc")):
+# (title, file name, grid, fields averaged over seeds) of each table
+TABLES = [
+    ("confidence threshold sweep", "p_th_sweep.csv", {"p_th": [0.8, 0.9, 0.95, 0.99]},
+     ("ratio", "pl_acc", "test_acc")),
+    ("coefficient heat table (alpha x beta)", "alpha_beta_sweep.csv",
+     {"alpha": [0.5, 0.9, 0.99], "beta": [0.5, 0.9, 0.99]}, ("test_acc",)),
+    ("trade-off sweep (lambda)", "lambda_sweep.csv", {"lambda": [0.1, 0.5, 1.0]}, ("test_acc",)),
+]
+
+
+def aggregate(rows, keys, fields):
     cells = sorted({tuple(r[k] for k in keys) for r in rows})
     table = []
     for cell in cells:
@@ -33,13 +42,6 @@ def aggregate(rows, keys, fields=("ratio", "pl_acc", "test_acc")):
     return table
 
 
-def write_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--spec", help="benchmark spec file (flat key-value)")
@@ -51,34 +53,21 @@ def main() -> int:
     try:
         spec = shift_spec_from_sources(args.spec, {})
         seeds = _parse_seeds(args.seeds)
-    except (DmaplError, OSError) as exc:
+        # one call for the three grids, so each seed's source model is trained once
+        rows = sweep(spec, TrainConfig(), [grid for _, _, grid, _ in TABLES], seeds=seeds,
+                     jobs=args.jobs)
+    except (DmaplError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    config = TrainConfig()
     os.makedirs(args.out, exist_ok=True)
-
-    print("== confidence threshold sweep ==")
-    rows = sweep(spec, config, {"p_th": [0.8, 0.9, 0.95, 0.99]}, seeds=seeds,
-                 jobs=args.jobs)
-    write_csv(os.path.join(args.out, "p_th_sweep.csv"), rows)
-    for entry in aggregate(rows, ["p_th"]):
-        print(f"  p_th {entry['p_th']:.2f}  ratio {entry['ratio']:.3f}  "
-              f"pl_acc {entry['pl_acc']:.4f}  test_acc {entry['test_acc']:.4f}")
-
-    print("== coefficient heat table (alpha x beta) ==")
-    rows = sweep(spec, config, {"alpha": [0.5, 0.9, 0.99], "beta": [0.5, 0.9, 0.99]},
-                 seeds=seeds, jobs=args.jobs)
-    write_csv(os.path.join(args.out, "alpha_beta_sweep.csv"), rows)
-    for entry in aggregate(rows, ["alpha", "beta"], fields=("test_acc",)):
-        print(f"  alpha {entry['alpha']:.2f}  beta {entry['beta']:.2f}  "
-              f"test_acc {entry['test_acc']:.4f}")
-
-    print("== trade-off sweep (lambda) ==")
-    rows = sweep(spec, config, {"lambda": [0.1, 0.5, 1.0]}, seeds=seeds, jobs=args.jobs)
-    write_csv(os.path.join(args.out, "lambda_sweep.csv"), rows)
-    for entry in aggregate(rows, ["lambda"], fields=("test_acc",)):
-        print(f"  lambda {entry['lambda']:.2f}  test_acc {entry['test_acc']:.4f}")
-
+    for title, name, grid, fields in TABLES:
+        keys = list(grid)
+        table_rows = [r for r in rows if list(r)[:len(keys)] == keys]
+        _write_table(os.path.join(args.out, name), table_rows, list(table_rows[0]))
+        print(f"== {title} ==")
+        for entry in aggregate(table_rows, keys, fields):
+            print("  " + "  ".join([f"{k} {entry[k]:.2f}" for k in keys] +
+                                   [f"{f} {entry[f]:.{3 if f == 'ratio' else 4}f}" for f in fields]))
     print(f"tables written to {args.out}")
     return 0
 

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train-source, split, adapt, eval, ablate, sweep.
-Every command resolves its full config (defaults + file + flags), writes it
-into the output directory before any computation, and is deterministic under
-a fixed seed. Exit codes: 0 success, 1 domain error, 2 usage error.
+Every command resolves its full config (defaults + file + flags) and loads
+its input files before it makes the output directory, then writes the config
+there before any computation. Every command is deterministic under a fixed
+seed. Exit codes: 0 success, 1 domain error, 2 usage error.
 
 Target-train ground-truth labels always live in a separate file that only the
 diagnostics/eval paths accept; the adaptation input is the unlabeled CSV.
@@ -27,8 +28,8 @@ from .evaluation import evaluate, format_metrics_table
 from .model import load_model, save_model
 from .numkit import DmaplError
 from .splitter import save_split_csv, split_diagnostics, split_target
-from .trainer import (MODES, TrainConfig, _unwrap, adapt, prepare_benchmark, run_experiment,
-                      sweep, train_source)
+from .trainer import (MODES, SPLIT_RATIO, VAL_FRACTION, TrainConfig, _sweep_work, _unwrap, adapt,
+                      prepare_benchmark, run_experiment, sweep, train_source)
 
 
 def _prepare_out_dir(path: str, force: bool) -> None:
@@ -40,6 +41,13 @@ def _prepare_out_dir(path: str, force: bool) -> None:
 def _write_resolved_config(out_dir: str, values: dict, name: str = "resolved_config.txt") -> None:
     with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(format_flat_config(values))
+
+
+def _write_table(path: str, rows: list[dict], fieldnames: list[str]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 # the config keys whose flag takes a string, with their other argparse options
@@ -77,10 +85,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     spec = shift_spec_from_sources(args.spec, {"seed": args.seed})
     _prepare_out_dir(args.out, args.force)
     resolved = {f: getattr(spec, f) for f in spec.__dataclass_fields__}
-    resolved["split_ratio"] = args.ratio
-    resolved["val_fraction"] = args.val_fraction
+    resolved["split_ratio"] = SPLIT_RATIO
+    resolved["val_fraction"] = VAL_FRACTION
     _write_resolved_config(args.out, resolved, "resolved_spec.txt")
-    bench = prepare_benchmark(spec, split_ratio=args.ratio, val_fraction=args.val_fraction)
+    bench = prepare_benchmark(spec)
     save_csv(bench.source_train, os.path.join(args.out, "source_train.csv"))
     save_csv(bench.source_val, os.path.join(args.out, "source_val.csv"))
     save_csv(bench.source_test, os.path.join(args.out, "source_test.csv"))
@@ -93,10 +101,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_train_source(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _prepare_out_dir(args.out, args.force)
-    _write_resolved_config(args.out, config.to_dict())
     train = load_csv(args.train)
     val = load_csv(args.val, num_classes=train.num_classes)
+    _prepare_out_dir(args.out, args.force)
+    _write_resolved_config(args.out, config.to_dict())
     model, record = train_source(train, val, config)
     save_model(model, os.path.join(args.out, "source_model.txt"))
     record.save(args.out)
@@ -106,15 +114,15 @@ def cmd_train_source(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    _prepare_out_dir(args.out, args.force)
-    _write_resolved_config(args.out, {"p_th": args.p_th, "model": args.model,
-                                      "target_train": args.target_train})
     model = load_model(args.model)
     data = load_csv(args.target_train, num_classes=model.config.num_classes)
-    result = split_target(model, data.without_labels(), args.p_th)
     truth = None
     if args.ground_truth:
         truth = load_csv(args.ground_truth, num_classes=model.config.num_classes).labels
+    _prepare_out_dir(args.out, args.force)
+    _write_resolved_config(args.out, {"p_th": args.p_th, "model": args.model,
+                                      "target_train": args.target_train})
+    result = split_target(model, data.without_labels(), args.p_th)
     diag = split_diagnostics(result, truth)
     save_split_csv(result, os.path.join(args.out, "split.csv"))
     with open(os.path.join(args.out, "diagnostics.json"), "w") as fh:
@@ -125,8 +133,6 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 def cmd_adapt(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _prepare_out_dir(args.out, args.force)
-    _write_resolved_config(args.out, config.to_dict())
     source_model = load_model(args.source_model)
     target_train = load_csv(args.target_train,
                             num_classes=source_model.config.num_classes).without_labels()
@@ -137,6 +143,8 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     eval_data = None
     if args.target_test:
         eval_data = load_csv(args.target_test, num_classes=source_model.config.num_classes)
+    _prepare_out_dir(args.out, args.force)
+    _write_resolved_config(args.out, config.to_dict())
     snapshot_dir = None
     if args.snapshot_soft_labels:
         snapshot_dir = os.path.join(args.out, "soft_labels")
@@ -180,10 +188,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     rows = [{"mode": r["mode"], "seed": r["seed"], "test_micro": r["test_micro"],
              "test_macro": r["test_macro"], "source_test_micro": r["source_test_micro"]}
             for per_mode in zip(*results) for r in per_mode]
-    with open(os.path.join(args.out, "ablation.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_table(os.path.join(args.out, "ablation.csv"), rows, list(rows[0]))
     means = {}
     for mode in {r["mode"] for r in rows}:
         vals = [r["test_micro"] for r in rows if r["mode"] == mode]
@@ -206,18 +211,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ConfigError(f"{args.grid}: grid must map parameter names to value lists")
     seeds = _parse_seeds(args.seeds)
+    _sweep_work(spec, base_config, grid, seeds, args.jobs)  # every cell is checked before --out
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, {**base_config.to_dict(), "seeds": args.seeds})
     with open(os.path.join(args.out, "grid.json"), "w") as fh:
         json.dump(grid, fh, sort_keys=True)
         fh.write("\n")
     rows = sweep(spec, base_config, grid, seeds=seeds, jobs=args.jobs)
-    fieldnames = list(grid.keys()) + ["ratio", "pl_acc", "test_acc", "seed", "error"]
-    with open(os.path.join(args.out, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k) for k in fieldnames})
+    _write_table(os.path.join(args.out, "sweep.csv"), rows,
+                 list(grid) + ["ratio", "pl_acc", "test_acc", "seed", "error"])
     ok = [r for r in rows if r["error"] is None]
     print(f"{len(ok)}/{len(rows)} cells succeeded; table written to {args.out}/sweep.csv")
     return 0
@@ -234,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="benchmark spec file (flat key-value)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--ratio", type=float, default=0.8, help="train:test split ratio")
-    p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("train-source", help="pre-train the source model")

@@ -233,58 +233,21 @@ def load_csv(path: str, num_classes: int | None = None) -> Dataset:
     body = lines[1:]
     columns = [(np.float64, dim)] + ([(np.int64, 1)] if has_label else [])
     try:
-        parsed = textio.read_rows(body, columns, textio.CSV)
-    except ValueError:
-        raise CsvFormatError(f"{path}: {_malformed_line(body, columns, len(header))}") from None
-    features = parsed[0]
-    bad = ~np.isfinite(features).all(axis=1)
-    if bad.any():
-        raise CsvFormatError(
-            f"{path}: line {_line_number(body, bad.argmax())}: non-finite feature value")
+        parsed = textio.read_rows(body, columns, textio.CSV, first_line=2)
+    except ValueError as exc:
+        raise CsvFormatError(f"{path}: {exc}") from None
     label_arr = parsed[1][:, 0] if has_label else None
     if has_label:
         bad = label_arr < 0
-        if bad.any():
-            raise CsvFormatError(f"{path}: line {_line_number(body, bad.argmax())}: negative label")
         if num_classes is not None:
-            bad = label_arr >= num_classes
-            if bad.any():
-                k = bad.argmax()
-                raise CsvFormatError(
-                    f"{path}: line {_line_number(body, k)}: label {label_arr[k]} "
-                    f"out of range for {num_classes} classes")
+            bad |= label_arr >= num_classes
+        if bad.any():
+            k = bad.argmax()
+            what = "negative label" if label_arr[k] < 0 else (
+                f"label {label_arr[k]} out of range for {num_classes} classes")
+            raise CsvFormatError(
+                f"{path}: line {textio.line_number(body, k, textio.CSV, 2)}: {what}")
     if num_classes is None:
         num_classes = int(label_arr.max()) + 1 if has_label and label_arr.size else 0
-    return Dataset(features, label_arr, num_classes)
+    return Dataset(parsed[0], label_arr, num_classes)
 
-
-def _line_number(body: list[str], row: int) -> int:
-    """File line number of data row `row`: rows skip empty lines, and the
-    body starts on line 2."""
-    return [i for i, line in enumerate(body, start=2) if line][row]
-
-
-def _malformed_line(body: list[str], columns: list[tuple[type, int]], width: int) -> str:
-    """What is wrong with the first data line that does not parse, and where.
-    Runs only after the whole-file parse has rejected the file."""
-    for lineno, line in enumerate(body, start=2):
-        try:
-            textio.read_rows([line], columns, textio.CSV)
-        except ValueError:
-            break
-    else:
-        return "malformed data"
-    try:
-        row = next(csv.reader([line]))
-    except csv.Error as exc:
-        return f"line {lineno}: {exc}"
-    if len(row) != width:
-        return f"line {lineno}: expected {width} fields, got {len(row)}"
-    for j, field in enumerate(row):
-        kind, what = ((np.float64, "non-numeric feature value") if j < columns[0][1]
-                      else (np.int64, "label is not a 64-bit integer"))
-        try:
-            textio.read_rows([field], [(kind, 1)], textio.CSV)
-        except ValueError:
-            return f"line {lineno}: {what} {field!r}"
-    return f"line {lineno}: malformed row"

@@ -324,10 +324,9 @@ def save_model(model: Model, path: str) -> None:
             textio.write_rows(fh, [arr.reshape(rows, cols)], [textio.FLOAT], textio.ROWS)
 
 
-def load_model(path: str, expected_config: ModelConfig | None = None) -> Model:
-    """Read a save_model file back. With `expected_config`, the architecture
-    must match exactly. Any malformed or mismatching file raises
-    ModelFormatError."""
+def load_model(path: str) -> Model:
+    """Read a save_model file back. Any malformed file raises
+    ModelFormatError naming the file, and the line where there is one."""
     try:
         with open(path) as fh:
             lines = fh.read().split("\n")
@@ -359,8 +358,6 @@ def load_model(path: str, expected_config: ModelConfig | None = None) -> Model:
         raise ModelFormatError(f"{path}: bad header ({exc})") from None
     if header.get("activation", "relu") != "relu":
         raise ModelFormatError(f"{path}: unsupported activation {header.get('activation')!r}")
-    if expected_config is not None and config != expected_config:
-        raise ModelFormatError(f"{path}: architecture {config} does not match expected {expected_config}")
 
     shapes = config.param_shapes()
     params: dict[str, np.ndarray] = {}
@@ -383,20 +380,16 @@ def load_model(path: str, expected_config: ModelConfig | None = None) -> Model:
         block = lines[i + 1:i + 1 + rows]
         if len(block) < rows:
             raise ModelFormatError(f"{path}: truncated parameter block '{name}'")
-        values = None
         # a row of `cols` floats is parsed only once the file shows that many values,
         # so a corrupt header cannot make the parser allocate more than the file holds
-        if len(block[0].split()) == cols:
-            try:
-                (values,) = textio.read_rows(block, [(np.float64, cols)], textio.ROWS)
-            except ValueError:
-                pass
-        if values is None or len(values) != rows:
-            raise ModelFormatError(f"{path}: {_malformed_line(block, i + 2, cols)}")
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad_row = np.flatnonzero(~finite.all(axis=-1))[0]
-            raise ModelFormatError(f"{path}: line {i + 2 + bad_row}: non-finite value in '{name}'")
+        if len(block[0].split()) != cols:
+            raise ModelFormatError(f"{path}: line {i + 2}: expected {cols} values in '{name}'")
+        try:
+            (values,) = textio.read_rows(block, [(np.float64, cols)], textio.ROWS, i + 2)
+        except ValueError as exc:
+            raise ModelFormatError(f"{path}: {exc} in '{name}'") from None
+        if len(values) != rows:
+            raise ModelFormatError(f"{path}: blank line in parameter block '{name}'")
         params[name] = values.reshape(shape)
         i += rows + 1
 
@@ -405,15 +398,3 @@ def load_model(path: str, expected_config: ModelConfig | None = None) -> Model:
             f"{path}: parameter blocks {list(params.keys())} do not match architecture {list(shapes)}")
     return Model(config, params)
 
-
-def _malformed_line(block: list[str], first_lineno: int, cols: int) -> str:
-    """What is wrong with the first line of a parameter block that does not
-    parse, and where. Runs only after the whole-block parse has rejected it."""
-    for lineno, line in enumerate(block, start=first_lineno):
-        if len(line.split()) != cols:
-            return f"line {lineno}: expected {cols} values"
-        try:
-            textio.read_rows([line], [(np.float64, cols)], textio.ROWS)
-        except ValueError:
-            return f"line {lineno}: bad float"
-    return f"line {first_lineno}: malformed parameter block"

@@ -50,6 +50,8 @@ def write_rows(fh, columns: list[np.ndarray], formats: list[str], dialect: Diale
     (n,) or (n, k) array, all with the same n; each of its k values per row
     is formatted with the column's `%` format. Nothing is quoted, so string
     values must hold neither the delimiter nor a line break."""
+    if not len(columns[0]):
+        return
     blocks = [np.asarray(c).reshape(len(c), -1) for c in columns]
     n, width = len(blocks[0]), sum(b.shape[1] for b in blocks)
     line = dialect.delimiter.join(["%s"] * width) + dialect.newline
@@ -83,12 +85,35 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray],
         write_rows(fh, columns, formats, CSV)
 
 
-def read_rows(lines: list[str], columns: list[tuple[type, int]],
-              dialect: Dialect) -> list[np.ndarray]:
+def read_rows(lines: list[str], columns: list[tuple[type, int]], dialect: Dialect,
+              first_line: int) -> list[np.ndarray]:
     """Parse text lines into one contiguous (n, k) array per (dtype, k)
-    column spec, with one `np.loadtxt` call. Empty lines are skipped, so n
-    counts the others. Raises ValueError if any line has the wrong number of
-    fields or a field that does not parse as its column's dtype."""
+    column spec, with one `np.loadtxt` call. Blank lines are skipped, so n
+    counts the others. Raises ValueError `line N: <reason>`, counting
+    `lines[0]` as line `first_line`, for the first line with the wrong
+    number of fields, a field that does not parse as its column's dtype, or
+    a float that is not finite; lines are looked at one by one only then."""
+    try:
+        arrays = _parse(lines, columns, dialect)
+    except ValueError:
+        raise ValueError(_first_bad_line(lines, columns, dialect, first_line)) from None
+    floats = [a for a in arrays if a.dtype.kind == "f"]
+    if not all(np.isfinite(a).all() for a in floats):
+        row = np.all([np.isfinite(a).all(axis=1) for a in floats], axis=0).argmin()
+        raise ValueError(f"line {line_number(lines, row, dialect, first_line)}: "
+                         "non-finite value")
+    return arrays
+
+
+def line_number(lines: list[str], row: int, dialect: Dialect, first_line: int) -> int:
+    """The line number of parsed row `row` of `lines`. `np.loadtxt` skips a
+    line with nothing but its line end, or nothing but whitespace if
+    whitespace delimits fields."""
+    strip = str.strip if dialect.delimiter.isspace() else lambda line: line.strip("\r\n")
+    return [n for n, line in enumerate(lines, first_line) if strip(line)][row]
+
+
+def _parse(lines: list[str], columns: list[tuple[type, int]], dialect: Dialect) -> list[np.ndarray]:
     dtype = np.dtype([(f"c{j}", kind, (k,)) for j, (kind, k) in enumerate(columns)])
     delimiter = None if dialect.delimiter.isspace() else dialect.delimiter
     with warnings.catch_warnings():
@@ -97,3 +122,27 @@ def read_rows(lines: list[str], columns: list[tuple[type, int]],
         table = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
                            quotechar=dialect.quotechar, ndmin=1)
     return [np.ascontiguousarray(table[name]) for name in dtype.names]
+
+
+def _first_bad_line(lines: list[str], columns: list[tuple[type, int]], dialect: Dialect,
+                    first_line: int) -> str:
+    """`line N: <reason>` for the first line that does not parse on its own.
+    Fields are told apart by the delimiter alone, so a quoted field that
+    holds one counts as two."""
+    kinds = [np.dtype(kind) for kind, k in columns for _ in range(k)]
+    for lineno, line in enumerate(lines, first_line):
+        try:
+            _parse([line], columns, dialect)
+            continue
+        except ValueError:
+            fields = line.split(None if dialect.delimiter.isspace() else dialect.delimiter)
+        if len(fields) != len(kinds):
+            return f"line {lineno}: expected {len(kinds)} fields, got {len(fields)}"
+        for field, kind in zip(fields, kinds):
+            try:
+                _parse([field], [(kind, 1)], dialect)
+            except ValueError:
+                what = "non-numeric value" if kind.kind == "f" else "not a 64-bit integer"
+                return f"line {lineno}: {what} {field!r}"
+        return f"line {lineno}: malformed row"
+    return "malformed data"

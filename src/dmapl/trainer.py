@@ -481,18 +481,21 @@ class Benchmark:
     target_test: Dataset
 
 
-def prepare_benchmark(spec: DomainShiftSpec, split_ratio: float = 0.8,
-                      val_fraction: float = 0.1) -> Benchmark:
+SPLIT_RATIO = 0.8  # train share of either domain
+VAL_FRACTION = 0.1  # validation share of source train
+
+
+def prepare_benchmark(spec: DomainShiftSpec) -> Benchmark:
     """Generate the domain pair and apply the stratified splits: both domains
-    8:2 train/test by default, source train further carved for validation.
+    `SPLIT_RATIO` train/test, source train further carved for validation.
     Split seeds derive from spec.seed, so the whole benchmark is one seed."""
     source, target = generate_domain_pair(spec)
     s_split, s_val, t_split = (int(s) for s in
                                np.random.SeedSequence(entropy=spec.seed,
                                                       spawn_key=(1,)).generate_state(3))
-    source_train_full, source_test = stratified_split(source, split_ratio, s_split)
-    source_train, source_val = stratified_split(source_train_full, 1.0 - val_fraction, s_val)
-    target_train, target_test = stratified_split(target, split_ratio, t_split)
+    source_train_full, source_test = stratified_split(source, SPLIT_RATIO, s_split)
+    source_train, source_val = stratified_split(source_train_full, 1.0 - VAL_FRACTION, s_val)
+    target_train, target_test = stratified_split(target, SPLIT_RATIO, t_split)
     return Benchmark(source_train, source_val, source_test, target_train, target_test)
 
 
@@ -558,10 +561,12 @@ def _cell_config(base: TrainConfig, keys: list[str], cell: tuple) -> TrainConfig
 
 
 def _sweep_one_seed(args: tuple) -> list[dict]:
-    spec, keys, cells, cell_configs = args
+    spec, cells, cell_configs = args
+    distinct = list(dict.fromkeys(cell_configs))  # a config in several grids runs once
+    results = dict(zip(distinct, run_experiment(spec, distinct)))
     rows = []
-    for cell, config, result in zip(cells, cell_configs, run_experiment(spec, cell_configs)):
-        row = dict(zip(keys, cell), seed=config.seed)
+    for (keys, cell), config in zip(cells, cell_configs):
+        row, result = dict(zip(keys, cell), seed=config.seed), results[config]
         if isinstance(result, DmaplError):
             row.update(ratio=None, pl_acc=None, test_acc=None, error=str(result))
         else:
@@ -571,33 +576,44 @@ def _sweep_one_seed(args: tuple) -> list[dict]:
     return rows
 
 
-def sweep(spec: DomainShiftSpec, base_config: TrainConfig, grid: dict[str, list],
-          seeds: list[int] | None = None, jobs: int = 1) -> list[dict]:
-    """One adaptation run per (grid cell, seed). The cells of one seed go
-    through one `run_experiment` call, so the source model is trained once
-    per seed, and cells that share `p_th` adapt in lockstep; every row is
-    bit-identical to a run of its cell alone. Every cell's config and the
-    seed list are validated before any training. A cell that fails at
-    runtime is recorded with its error and the sweep continues. Rows come
-    back in deterministic (seed, cell) order."""
-    if not grid:
+def _sweep_work(spec: DomainShiftSpec, base_config: TrainConfig, grid, seeds, jobs) -> list:
+    """Check `sweep`'s arguments and every cell's config; return per seed its
+    spec, its (grid keys, cell values) pairs and their configs."""
+    grids = [grid] if isinstance(grid, dict) else list(grid)
+    if not grids or not all(grids):
         raise ValueError("empty grid")
-    unknown = set(grid) - set(SWEEPABLE)
-    if unknown:
-        raise ValueError(f"grid keys must be among {SWEEPABLE}, got {sorted(unknown)}")
-    if any(len(v) == 0 for v in grid.values()):
-        raise ValueError("empty grid axis")
+    for g in grids:
+        unknown = set(g) - set(SWEEPABLE)
+        if unknown:
+            raise ValueError(f"grid keys must be among {SWEEPABLE}, got {sorted(unknown)}")
+        if any(len(v) == 0 for v in g.values()):
+            raise ValueError("empty grid axis")
     if base_config.mode != "dmapl":
         raise ValueError("sweep runs the dmapl mode")
-    keys = list(grid.keys())
-    cells = list(itertools.product(*(grid[k] for k in keys)))
     if seeds is None:
         seeds = [base_config.seed]
     if not seeds:
         raise ValueError("no seeds to sweep")
-    work = [(replace(spec, seed=seed), keys, cells,
-             [_cell_config(replace(base_config, seed=seed), keys, cell) for cell in cells])
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    cells = [(list(g), cell) for g in grids for cell in itertools.product(*g.values())]
+    return [(replace(spec, seed=seed), cells,
+             [_cell_config(replace(base_config, seed=seed), keys, cell) for keys, cell in cells])
             for seed in seeds]
+
+
+def sweep(spec: DomainShiftSpec, base_config: TrainConfig,
+          grid: dict[str, list] | list[dict[str, list]],
+          seeds: list[int] | None = None, jobs: int = 1) -> list[dict]:
+    """One adaptation run per (grid cell, seed), for one grid or a list of
+    them; a row holds its own grid's keys. The cells of one seed go through
+    one `run_experiment` call, so the source model is trained once per seed,
+    a config in several grids runs once, and cells that share `p_th` adapt
+    in lockstep; every row is bit-identical to a run of its cell alone. All
+    arguments are validated before any training. A cell that fails at
+    runtime is recorded with its error and the sweep continues. Rows come
+    back in deterministic (seed, grid, cell) order."""
+    work = _sweep_work(spec, base_config, grid, seeds, jobs)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

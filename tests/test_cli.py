@@ -198,6 +198,8 @@ def test_every_config_key_has_a_flag(command, data_dir, source_dir, tmp_path, mo
 
     for name in ("train_source", "adapt", "run_experiment", "sweep"):
         monkeypatch.setattr(dmapl.cli, name, stop)
+    # the sweep's own checks reject the non-default mode before --out is made
+    monkeypatch.setattr(dmapl.cli, "_sweep_work", lambda *args: None)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"alpha": [0.5]}))
     inputs = {"train-source": ("--train", data_dir / "source_train.csv",
@@ -332,6 +334,36 @@ def test_empty_seeds_rejected_before_training(command, tmp_path, monkeypatch, ca
     extra = ("--grid", grid) if command == "sweep" else ()
     assert run_cli(command, *extra, "--seeds", ",", "--out", tmp_path / "out") == 1
     assert "bad --seeds value ','" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+# "@name" stands for a path the test fills in; a dict is written as the grid file
+BAD_INPUTS = {
+    "sweep-grid-value": ("sweep", "--grid", {"alpha": [2.0]}),
+    "sweep-grid-key": ("sweep", "--grid", {"gamma": [1]}),
+    "sweep-jobs": ("sweep", "--grid", {"alpha": [0.5]}, "--jobs", 0),
+    "adapt": ("adapt", "--source-model", "@model", "--target-train", "@data",
+              "--target-test", "@missing"),
+    "train-source": ("train-source", "--train", "@data", "--val", "@missing"),
+    "split": ("split", "--model", "@model", "--target-train", "@data",
+              "--ground-truth", "@missing"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_fails_before_out_is_made(argv, data_dir, source_dir, tmp_path, monkeypatch,
+                                            capsys):
+    calls = counting_train_source(monkeypatch)
+    paths = {"@model": source_dir / "source_model.txt", "@data": data_dir / "target_train.csv",
+             "@missing": tmp_path / "missing.csv"}
+    grid = tmp_path / "grid.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            grid.write_text(json.dumps(arg))
+    argv = [grid if isinstance(arg, dict) else paths.get(arg, arg) for arg in argv]
+    assert run_cli(*argv, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert calls == []
     assert not (tmp_path / "out").exists()
 

@@ -155,6 +155,14 @@ def test_csv_errors_name_the_line(tmp_path):
         load_csv(str(empty))
 
 
+def test_csv_zero_rows_round_trip(tmp_path):
+    path = tmp_path / "zero.csv"
+    save_csv(Dataset(np.empty((0, 2)), np.empty(0, np.int64), 4), str(path))
+    assert path.read_bytes() == b"f0,f1,label\r\n"
+    data = load_csv(str(path), num_classes=4)
+    assert data.features.shape == (0, 2) and data.labels.shape == (0,)
+
+
 def test_csv_rejects_non_finite_features(tmp_path):
     path = tmp_path / "nonfinite.csv"
     path.write_text("f0,f1\n1.0,nan\ninf,2\n")

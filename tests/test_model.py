@@ -200,15 +200,6 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(p1, p2)
 
 
-def test_load_architecture_mismatch(tmp_path):
-    model = small_model()
-    path = tmp_path / "m.txt"
-    save_model(model, str(path))
-    other = ModelConfig(3, (5,), 3, 3)
-    with pytest.raises(ModelFormatError, match="does not match"):
-        load_model(str(path), expected_config=other)
-
-
 def test_load_wrong_layer_count(tmp_path):
     model = small_model()
     path = tmp_path / "m.txt"

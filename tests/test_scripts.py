@@ -39,3 +39,11 @@ def test_hyperparameter_sweep_script_rejects_bad_seeds(seeds, tmp_path):
     assert done.returncode == 1
     assert done.stderr == f"error: bad --seeds value {seeds!r}; expected e.g. 0,1,2\n"
     assert not out.exists()
+
+
+def test_hyperparameter_sweep_script_rejects_zero_jobs(tmp_path):
+    out = tmp_path / "sweeps"
+    done = run_sweep_script("--jobs", 0, "--out", out)
+    assert done.returncode == 1
+    assert done.stderr == "error: jobs must be >= 1, got 0\n"
+    assert not out.exists()

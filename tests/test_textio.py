@@ -145,3 +145,37 @@ def test_corrupted_csv_loads_or_raises_csv_format_error(valid_files, data, num_c
     except CsvFormatError:
         return
     assert np.isfinite(loaded.features).all()
+
+
+CSV_ERRORS = [("3.0,1", "expected 3 fields, got 2"),
+              ("3.0,abc,1", "non-numeric value 'abc'"),
+              ("3.0,inf,1", "non-finite value"),
+              ("3.0,4.0,-1", "negative label"),
+              ("3.0,4.0,7", "label 7 out of range for 4 classes")]
+# the second row of a 3x5 weight block, written as a format of the row's values
+MODEL_ERRORS = [("{0} {1} {2} {3}", "expected 5 fields, got 4"),
+                ("{0} x {2} {3} {4}", "non-numeric value 'x'"),
+                ("{0} {1} -inf {3} {4}", "non-finite value")]
+
+
+@pytest.mark.parametrize("loader, bad_row, reason, blank_line",
+                         [("csv", *case, blank) for case in CSV_ERRORS for blank in (False, True)]
+                         + [("model", *case, False) for case in MODEL_ERRORS])
+def test_loaders_name_the_first_bad_line(tmp_path, loader, bad_row, reason, blank_line):
+    if loader == "csv":
+        path = tmp_path / "d.csv"
+        lines = ["f0,f1,label", "1.0,2.0,0"] + [""] * blank_line + [bad_row, bad_row]
+        lineno = len(lines) - 1
+        expected = f"{path}: line {lineno}: {reason}"
+    else:
+        path = tmp_path / "m.txt"
+        save_model(Model.init(ModelConfig(3, (5, 4), 3, 3), make_rng(0)), str(path))
+        lines = path.read_text().splitlines()
+        lineno = lines.index("param enc0.W 3 5") + 3
+        for k in (lineno - 1, lineno):  # the second and third rows are bad
+            lines[k] = bad_row.format(*lines[k].split())
+        expected = f"{path}: line {lineno}: {reason} in 'enc0.W'"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises((CsvFormatError, ModelFormatError)) as info:
+        load_csv(str(path), num_classes=4) if loader == "csv" else load_model(str(path))
+    assert str(info.value) == expected

@@ -323,6 +323,18 @@ def test_sweep_multi_parameter_grid_covers_product():
     assert all(r["error"] is None for r in rows)
 
 
+def test_sweep_list_of_grids_matches_single_grid_calls(monkeypatch):
+    spec = DomainShiftSpec(samples_per_class=60)
+    config = TrainConfig(source_epochs=3, adapt_epochs=2, p_th=0.7)
+    # the base config shows up in the first and last grid
+    grids = [{"p_th": [0.6, 0.7]}, {"alpha": [0.5, 0.99], "beta": [0.5]}, {"lambda": [0.1, 1.0]}]
+    single = [row for seed in (0, 1) for grid in grids
+              for row in sweep(spec, config, grid, seeds=[seed])]
+    calls = counting_train_source(monkeypatch, pass_through=True)
+    assert sweep(spec, config, grids, seeds=[0, 1]) == single
+    assert len(calls) == 2
+
+
 def test_sweep_parallel_matches_sequential():
     spec = DomainShiftSpec(seed=12, samples_per_class=60)
     config = TrainConfig(seed=12, source_epochs=3, adapt_epochs=2)
