@@ -3,7 +3,7 @@
 Subcommands: gen-data, train-source, split, adapt, eval, ablate, sweep.
 Every command resolves its full config (defaults + file + flags) and loads
 its input files before it makes the output directory, then writes the config
-there before any computation. Every command is deterministic under a fixed
+there before any training. Every command is deterministic under a fixed
 seed. Exit codes: 0 success, 1 domain error, 2 usage error.
 
 Target-train ground-truth labels always live in a separate file that only the
@@ -119,11 +119,11 @@ def cmd_split(args: argparse.Namespace) -> int:
     truth = None
     if args.ground_truth:
         truth = load_csv(args.ground_truth, num_classes=model.config.num_classes).labels
+    result = split_target(model, data.without_labels(), args.p_th)
+    diag = split_diagnostics(result, truth)
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, {"p_th": args.p_th, "model": args.model,
                                       "target_train": args.target_train})
-    result = split_target(model, data.without_labels(), args.p_th)
-    diag = split_diagnostics(result, truth)
     save_split_csv(result, os.path.join(args.out, "split.csv"))
     with open(os.path.join(args.out, "diagnostics.json"), "w") as fh:
         fh.write(json.dumps(diag, sort_keys=True) + "\n")
@@ -163,10 +163,11 @@ def cmd_adapt(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     test = load_csv(args.test, num_classes=model.config.num_classes)
+    if args.out:
+        _prepare_out_dir(args.out, args.force)
     metrics = evaluate(model, test)
     print(format_metrics_table(metrics))
     if args.out:
-        _prepare_out_dir(args.out, args.force)
         with open(os.path.join(args.out, "metrics.json"), "w") as fh:
             fh.write(json.dumps(metrics.to_dict(), sort_keys=True) + "\n")
     return 0
@@ -208,8 +209,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             grid = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.grid}: malformed grid file ({exc})") from None
-    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
-        raise ConfigError(f"{args.grid}: grid must map parameter names to value lists")
+    grids = grid if isinstance(grid, list) else [grid]
+    if not all(isinstance(g, dict) and all(isinstance(v, list) for v in g.values())
+               for g in grids):
+        raise ConfigError(f"{args.grid}: a grid must map parameter names to value lists; "
+                          "the file holds one grid or a list of them")
     seeds = _parse_seeds(args.seeds)
     _sweep_work(spec, base_config, grid, seeds, args.jobs)  # every cell is checked before --out
     _prepare_out_dir(args.out, args.force)
@@ -217,11 +221,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(os.path.join(args.out, "grid.json"), "w") as fh:
         json.dump(grid, fh, sort_keys=True)
         fh.write("\n")
-    rows = sweep(spec, base_config, grid, seeds=seeds, jobs=args.jobs)
+    rows = sweep(spec, base_config, grid, seeds=seeds, jobs=args.jobs)  # one source model per seed
+    keys = list(dict.fromkeys(key for g in grids for key in g))
     _write_table(os.path.join(args.out, "sweep.csv"), rows,
-                 list(grid) + ["ratio", "pl_acc", "test_acc", "seed", "error"])
-    ok = [r for r in rows if r["error"] is None]
-    print(f"{len(ok)}/{len(rows)} cells succeeded; table written to {args.out}/sweep.csv")
+                 keys + ["ratio", "pl_acc", "test_acc", "seed", "error"])
+    width = len(rows) // len(seeds)  # each seed's rows hold every cell, in the same order
+    for cell_rows in zip(*(rows[i:i + width] for i in range(0, len(rows), width))):
+        ok = [r for r in cell_rows if r["error"] is None]
+        means = [f"{field} {statistics.mean(r[field] for r in ok):.{3 if field == 'ratio' else 4}f}"
+                 if ok else f"{field} -" for field in ("ratio", "pl_acc", "test_acc")]
+        print("  ".join([f"{k} {v}" for k, v in cell_rows[0].items() if k in keys]
+                        + means + [f"n_ok {len(ok)}"]))
+    n_ok = sum(r["error"] is None for r in rows)
+    print(f"{n_ok}/{len(rows)} cells succeeded; table written to {args.out}/sweep.csv")
     return 0
 
 
@@ -279,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
 
     p = sub.add_parser("sweep", help="hyperparameter sweep on the synthetic benchmark")
-    p.add_argument("--grid", required=True, help="JSON file: {param: [values...]}")
+    p.add_argument("--grid", required=True,
+                   help="JSON file: {param: [values...]} or a list of such grids")
     p.add_argument("--spec", help="benchmark spec file")
     p.add_argument("--seeds", default="0")
     p.add_argument("--jobs", type=int, default=1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .datasets import DomainShiftSpec
 from .numkit import DmaplError
-from .trainer import TrainConfig
+from .trainer import MIN_SAMPLES_PER_CLASS, TrainConfig
 
 
 class ConfigError(DmaplError):
@@ -91,6 +91,8 @@ def train_config_from_sources(path: str | None, overrides: dict) -> TrainConfig:
 
 
 def shift_spec_from_sources(path: str | None, overrides: dict) -> DomainShiftSpec:
+    """The benchmark spec of a file and overrides; it must leave every class
+    of the benchmark splits non-empty."""
     values: dict = {}
     if path is not None:
         values.update(load_flat_config(path))
@@ -103,6 +105,11 @@ def shift_spec_from_sources(path: str | None, overrides: dict) -> DomainShiftSpe
     if unknown:
         raise ConfigError(f"unknown benchmark spec keys: {sorted(unknown)}")
     try:
-        return DomainShiftSpec(**values)
+        spec = DomainShiftSpec(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+    if spec.samples_per_class < MIN_SAMPLES_PER_CLASS:
+        raise ConfigError(f"samples_per_class must be >= {MIN_SAMPLES_PER_CLASS} for the "
+                          "benchmark's train/test and validation splits, "
+                          f"got {spec.samples_per_class}")
+    return spec

@@ -483,6 +483,9 @@ class Benchmark:
 
 SPLIT_RATIO = 0.8  # train share of either domain
 VAL_FRACTION = 0.1  # validation share of source train
+# the fewest rows per class that both splits leave non-empty: 3 -> 2 train
+# rows, which the validation split needs
+MIN_SAMPLES_PER_CLASS = 3
 
 
 def prepare_benchmark(spec: DomainShiftSpec) -> Benchmark:

@@ -1,5 +1,8 @@
+import csv
+import itertools
 import json
 import os
+import statistics
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from dmapl.numkit import DmaplError
 from dmapl.splitter import save_split_csv, split_target
 from dmapl.trainer import TrainConfig
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -239,6 +243,19 @@ def test_eval_prints_table_and_writes_json(data_dir, source_dir, tmp_path, capsy
     assert 0.9 <= metrics["micro"] <= 1.0
 
 
+def test_eval_refuses_nonempty_out_before_it_prints(data_dir, source_dir, tmp_path, capsys):
+    out = tmp_path / "busy"
+    out.mkdir()
+    (out / "junk.txt").write_text("x")
+    assert run_cli("eval", "--model", source_dir / "source_model.txt",
+                   "--test", data_dir / "source_test.csv", "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not empty (use --force)" in captured.err
+    assert os.listdir(out) == ["junk.txt"]
+    assert (out / "junk.txt").read_text() == "x"
+
+
 def test_eval_missing_model_is_domain_error(tmp_path, capsys):
     assert run_cli("eval", "--model", tmp_path / "nope.txt",
                    "--test", tmp_path / "nope.csv") == 1
@@ -262,6 +279,39 @@ def test_sweep_cli(data_dir, tmp_path):
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "p_th,ratio,pl_acc,test_acc,seed,error"
     assert len(lines) == 3
+
+
+def test_sweep_cli_runs_the_paper_grids_in_one_call(tmp_path, monkeypatch, capsys):
+    calls = counting_train_source(monkeypatch, pass_through=True)
+    grid_file = os.path.join(ROOT, "grids", "hyperparameters.json")
+    with open(grid_file) as fh:
+        grids = json.load(fh)
+    spec = tmp_path / "spec.txt"
+    spec.write_text("samples_per_class = 60\n")
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--grid", grid_file, "--spec", spec, "--seeds", "0,1",
+                   "--out", out) == 0
+    assert len(calls) == 2  # one source model per seed for all three grids
+    with open(out / "sweep.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    keys = ["p_th", "alpha", "beta", "lambda"]
+    assert reader.fieldnames == keys + ["ratio", "pl_acc", "test_acc", "seed", "error"]
+    cells = [dict(zip(g, values)) for g in grids for values in itertools.product(*g.values())]
+    assert len(cells) == 4 + 9 + 3
+    assert [{k: row[k] for k in keys + ["seed"]} for row in rows] == [
+        {**{k: str(cell[k]) if k in cell else "" for k in keys}, "seed": str(seed)}
+        for seed in (0, 1) for cell in cells]
+    assert all(row["error"] == "" for row in rows)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"32/32 cells succeeded; table written to {out}/sweep.csv"
+    for i, (cell, line) in enumerate(zip(cells, lines[:-1], strict=True)):
+        pair = (rows[i], rows[i + len(cells)])  # the cell's rows of seeds 0 and 1
+        mean = {f: statistics.mean(float(r[f]) for r in pair)
+                for f in ("ratio", "pl_acc", "test_acc")}
+        assert line == "  ".join([f"{k} {v}" for k, v in cell.items()] + [
+            f"ratio {mean['ratio']:.3f}", f"pl_acc {mean['pl_acc']:.4f}",
+            f"test_acc {mean['test_acc']:.4f}", "n_ok 2"])
 
 
 def test_sweep_cli_malformed_grid(tmp_path, capsys):
@@ -332,13 +382,16 @@ def test_empty_seeds_rejected_before_training(command, tmp_path, monkeypatch, ca
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"alpha": [0.5]}))
     extra = ("--grid", grid) if command == "sweep" else ()
-    assert run_cli(command, *extra, "--seeds", ",", "--out", tmp_path / "out") == 1
-    assert "bad --seeds value ','" in capsys.readouterr().err
+    for seeds in (",", "x"):
+        assert run_cli(command, *extra, "--seeds", seeds, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (f"error: bad --seeds value {seeds!r}; "
+                                           "expected e.g. 0,1,2\n")
     assert calls == []
     assert not (tmp_path / "out").exists()
 
 
-# "@name" stands for a path the test fills in; a dict is written as the grid file
+# "@name" stands for a path the test fills in; a dict is written as the grid file;
+# "@tiny" is a spec whose classes are too small for the benchmark's two splits
 BAD_INPUTS = {
     "sweep-grid-value": ("sweep", "--grid", {"alpha": [2.0]}),
     "sweep-grid-key": ("sweep", "--grid", {"gamma": [1]}),
@@ -348,6 +401,10 @@ BAD_INPUTS = {
     "train-source": ("train-source", "--train", "@data", "--val", "@missing"),
     "split": ("split", "--model", "@model", "--target-train", "@data",
               "--ground-truth", "@missing"),
+    "split-p-th": ("split", "--model", "@model", "--target-train", "@data", "--p-th", 1.5),
+    "gen-data-tiny-spec": ("gen-data", "--spec", "@tiny"),
+    "ablate-tiny-spec": ("ablate", "--spec", "@tiny", "--seeds", "0"),
+    "sweep-tiny-spec": ("sweep", "--grid", {"alpha": [0.5]}, "--spec", "@tiny"),
 }
 
 
@@ -356,7 +413,8 @@ def test_bad_input_fails_before_out_is_made(argv, data_dir, source_dir, tmp_path
                                             capsys):
     calls = counting_train_source(monkeypatch)
     paths = {"@model": source_dir / "source_model.txt", "@data": data_dir / "target_train.csv",
-             "@missing": tmp_path / "missing.csv"}
+             "@missing": tmp_path / "missing.csv", "@tiny": tmp_path / "tiny.txt"}
+    paths["@tiny"].write_text("samples_per_class = 2\n")
     grid = tmp_path / "grid.json"
     for arg in argv:
         if isinstance(arg, dict):

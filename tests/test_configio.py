@@ -3,7 +3,7 @@ import pytest
 from dmapl.configio import (ConfigError, format_flat_config, parse_flat_config,
                             shift_spec_from_sources, train_config_from_sources)
 from dmapl.datasets import DomainShiftSpec
-from dmapl.trainer import TrainConfig
+from dmapl.trainer import TrainConfig, prepare_benchmark
 
 
 def test_parse_values_and_comments():
@@ -66,3 +66,11 @@ def test_shift_spec_translation_parsing(tmp_path):
     assert shift_spec_from_sources(None, {}) == DomainShiftSpec()
     with pytest.raises(ConfigError, match="unknown benchmark spec keys"):
         shift_spec_from_sources(None, {"bogus": 1})
+
+
+def test_shift_spec_too_small_to_split_names_the_minimum():
+    with pytest.raises(ConfigError, match=r"samples_per_class must be >= 3 .* got 2"):
+        shift_spec_from_sources(None, {"samples_per_class": 2})
+    assert DomainShiftSpec(samples_per_class=2).samples_per_class == 2  # generation needs no split
+    bench = prepare_benchmark(shift_spec_from_sources(None, {"samples_per_class": 3}))
+    assert bench.source_val.n == bench.source_test.n == bench.target_test.n == 4

@@ -2,6 +2,7 @@
 stacked loop, and every cell must come out exactly as its own run."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from dmapl.model import DivergenceError
 from dmapl.numkit import DmaplError
 from dmapl.trainer import TrainConfig, adapt, prepare_benchmark, sweep, train_source
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def solo_row(bench, source_model, config, cell):
@@ -38,13 +40,10 @@ def cell_config(config, cell):
     return replace(config, **{("lam" if k == "lambda" else k): v for k, v in cell.items()})
 
 
-# the grids of scripts/run_hyperparameter_sweep.py, plus a mixed-threshold one
-GRIDS = {
-    "alpha_beta": {"alpha": [0.5, 0.9, 0.99], "beta": [0.5, 0.9, 0.99]},
-    "lambda": {"lambda": [0.1, 0.5, 1.0]},
-    "p_th": {"p_th": [0.8, 0.9, 0.95, 0.99]},
-    "mixed": {"p_th": [0.7, 0.9], "lambda": [0.1, 1.0], "beta": [0.5, 0.99]},
-}
+# the paper's three grids (p_th, alpha_beta, lambda), plus a mixed-threshold one
+with open(os.path.join(ROOT, "grids", "hyperparameters.json")) as fh:
+    GRIDS = {"_".join(grid): grid for grid in json.load(fh)}
+GRIDS["mixed"] = {"p_th": [0.7, 0.9], "lambda": [0.1, 1.0], "beta": [0.5, 0.99]}
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
