@@ -28,8 +28,8 @@ from .evaluation import evaluate, format_metrics_table
 from .model import load_model, save_model
 from .numkit import DmaplError
 from .splitter import save_split_csv, split_diagnostics, split_target
-from .trainer import (MODES, SPLIT_RATIO, VAL_FRACTION, TrainConfig, _sweep_work, _unwrap, adapt,
-                      prepare_benchmark, run_experiment, sweep, train_source)
+from .trainer import (MODES, SPLIT_RATIO, VAL_FRACTION, TrainConfig, _grid_cells, _sweep_work,
+                      _unwrap, adapt, prepare_benchmark, run_experiment, sweep, train_source)
 
 
 def _prepare_out_dir(path: str, force: bool) -> None:
@@ -204,18 +204,21 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     base_config = _config_from_args(args)
     spec = shift_spec_from_sources(args.spec, {})
-    try:
+    try:  # every rejection of the grid file's contents names the file
         with open(args.grid) as fh:
             grid = json.load(fh)
+        grids = grid if isinstance(grid, list) else [grid]
+        if not all(isinstance(g, dict) and all(isinstance(v, list) for v in g.values())
+                   for g in grids):
+            raise ValueError("a grid must map parameter names to value lists; "
+                             "the file holds one grid or a list of them")
+        _grid_cells(base_config, grid)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.grid}: malformed grid file ({exc})") from None
-    grids = grid if isinstance(grid, list) else [grid]
-    if not all(isinstance(g, dict) and all(isinstance(v, list) for v in g.values())
-               for g in grids):
-        raise ConfigError(f"{args.grid}: a grid must map parameter names to value lists; "
-                          "the file holds one grid or a list of them")
+    except ValueError as exc:
+        raise ConfigError(f"{args.grid}: {exc}") from None
     seeds = _parse_seeds(args.seeds)
-    _sweep_work(spec, base_config, grid, seeds, args.jobs)  # every cell is checked before --out
+    _sweep_work(spec, base_config, grid, seeds, args.jobs)  # --jobs and the mode, before --out
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, {**base_config.to_dict(), "seeds": args.seeds})
     with open(os.path.join(args.out, "grid.json"), "w") as fh:

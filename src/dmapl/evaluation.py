@@ -49,14 +49,17 @@ def confusion_metrics(confusion: np.ndarray) -> Metrics:
 
 
 def evaluate(model: Model, test: Dataset) -> Metrics:
-    """Argmax predictions against the labeled test set (ties -> lowest class)."""
+    """A one-cell model's argmax predictions against the labeled test set
+    (ties -> lowest class)."""
     if test.n == 0:
         raise ValueError("test set is empty")
     if not test.is_labeled:
         raise ValueError("test set must be labeled")
     if model.config.num_classes != test.num_classes:
         raise ValueError("model and test set disagree on the class count")
-    predictions = model.predict(test.features)
+    if len(model.flat) != 1:
+        raise ValueError(f"evaluation needs a single model, got {len(model.flat)} cells")
+    predictions = model.predict(test.features)[0]
     c = test.num_classes
     confusion = np.bincount(test.labels * c + predictions, minlength=c * c).reshape(c, c)
     return confusion_metrics(confusion)

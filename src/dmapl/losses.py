@@ -2,7 +2,8 @@
 subset. The adaptation objective is loss_u + lambda * loss_l.
 
 Both losses are batch means so the trade-off weight keeps its meaning across
-batch sizes, and both return the analytic gradient on the logits. Soft-label
+batch sizes. Both take the (K, n, C) probabilities of K model cells and return
+a (K,) loss, one per cell, and the analytic gradient on the logits. Soft-label
 rows need not sum to 1 (their mass is deliberately below 1); a never-updated
 instance (q = 0) contributes zero loss and zero gradient.
 """
@@ -17,13 +18,12 @@ from .numkit import any_outside
 PROB_CLAMP = 1e-12
 
 
-def labeled_ce(probs: np.ndarray, pseudo_labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean -log p(label) over the batch, plus the gradient on the logits.
+def labeled_ce(probs: np.ndarray, pseudo_labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell, mean -log p(label) over the batch, plus the gradient on the
+    logits.
 
-    probs rows must be softmax outputs aligned with the labels; the gradient
-    is (probs - onehot) / batch_size. probs may carry a leading cell axis,
-    (K, n, C), with the (n,) labels shared by every cell; the loss is then
-    a (K,) array.
+    probs rows must be softmax outputs aligned with the (n,) labels, which
+    every cell shares; the gradient is (probs - onehot) / batch_size.
     """
     p = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(pseudo_labels, dtype=np.int64)
@@ -41,16 +41,15 @@ def labeled_ce(probs: np.ndarray, pseudo_labels: np.ndarray) -> tuple[float, np.
     grad[at_label] = (picked - 1.0) / n
     # contiguous rows, so each cell's mean sums in the same order as a 1-D one
     logp = np.log(np.maximum(np.ascontiguousarray(picked), PROB_CLAMP))
-    loss = -(np.add.reduce(logp, axis=-1) / n)
-    return (float(loss) if loss.ndim == 0 else loss), grad
+    return np.add.reduce(logp, axis=-1) / -n, grad  # -(sum / n), bit for bit
 
 
-def soft_ce(probs: np.ndarray, q_batch: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean of sum_y -q_y log p_y over the batch, plus the gradient on logits.
+def soft_ce(probs: np.ndarray, q_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell, mean of sum_y -q_y log p_y over the batch, plus the gradient.
 
     The gradient per row is (|q|_1 * probs - q) / batch_size; rows with zero
-    mass are inert. q rows must be non-negative but need not sum to 1. With
-    a leading cell axis on both inputs the loss is a (K,) array.
+    mass are inert. q rows, shaped like probs, must be non-negative but need
+    not sum to 1.
     """
     p = np.asarray(probs, dtype=np.float64)
     q = np.ascontiguousarray(q_batch, dtype=np.float64)
@@ -62,6 +61,6 @@ def soft_ce(probs: np.ndarray, q_batch: np.ndarray) -> tuple[float, np.ndarray]:
     if np.logical_or.reduce(q < 0, axis=None):
         raise ValueError("corrupt soft label (negative entry)")
     logp = np.log(np.maximum(p, PROB_CLAMP))
-    loss = -(np.add.reduce(np.add.reduce(q * logp, axis=-1), axis=-1) / n)
+    loss = np.add.reduce(np.add.reduce(q * logp, axis=-1), axis=-1) / -n
     grad = (np.add.reduce(q, axis=-1, keepdims=True) * p - q) / n
-    return (float(loss) if loss.ndim == 0 else loss), grad
+    return loss, grad

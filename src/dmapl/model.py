@@ -1,11 +1,12 @@
 """The prediction model: ReLU-MLP encoder, linear bottleneck, linear classifier.
 
 Forward, hand-derived backprop, SGD with momentum and decoupled weight decay,
-and the cosine learning-rate schedule. A model's parameters live in one
-float64 buffer `Model.flat`, in declared order; `Model.params` maps each name
-to a view of it. Backprop writes into one gradient buffer of that layout, and
-the optimizer updates the whole buffer at once. Weight decay applies to
-weight matrices only, never biases.
+and the cosine learning-rate schedule. Every model is a stack of K >= 1
+independent cells: their parameters live in one (K, P) float64 buffer
+`Model.flat`, a row per cell in declared order; `Model.params` maps each
+name to a view of it. Backprop writes into one gradient buffer of that
+layout, and the optimizer updates the whole buffer at once. Weight decay
+applies to weight matrices only, never biases.
 """
 
 from __future__ import annotations
@@ -22,13 +23,10 @@ from .numkit import DmaplError, softmax
 
 
 class DivergenceError(DmaplError):
-    """A non-finite gradient, loss or logit showed up during training.
+    """A non-finite gradient, loss or logit showed up during training;
+    `cells` is the (K,) bool mask of the cells that diverged."""
 
-    With stacked parameters `cells` is the (K,) bool mask of the cells that
-    diverged; for a single model it is None.
-    """
-
-    def __init__(self, message: str, cells: np.ndarray | None = None):
+    def __init__(self, message: str, cells: np.ndarray):
         super().__init__(message)
         self.cells = cells
 
@@ -69,7 +67,7 @@ def _glorot(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _layout(config: ModelConfig) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-    """(name, start, stop, shape) of every parameter in the flat buffer."""
+    """(name, start, stop, shape) of every parameter in a cell's row of `flat`."""
     layout, start = [], 0
     for name, shape in config.param_shapes().items():
         layout.append((name, start, start + math.prod(shape), shape))
@@ -78,24 +76,10 @@ def _layout(config: ModelConfig) -> tuple[tuple[str, int, int, tuple[int, ...]],
 
 
 def _views(flat: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
-    """Name -> view of `flat`, a (P,) buffer or a (K, P) stack of cells.
-    Stacked biases are (K, 1, fan_out) so they broadcast over batch rows."""
-    lead = flat.shape[:-1]
-    row = (1,) if lead else ()
-    return {name: flat[..., start:stop].reshape(lead + (row if len(shape) == 1 else ()) + shape)
+    """Name -> view of the (K, P) buffer `flat`: weights (K, fan_in, fan_out),
+    biases (K, 1, fan_out) so they broadcast over batch rows."""
+    return {name: flat[:, start:stop].reshape(len(flat), -1, shape[-1])
             for name, start, stop, shape in _layout(config)}
-
-
-def _flatten(config: ModelConfig, arrays: dict[str, np.ndarray],
-             lead: tuple[int, ...]) -> np.ndarray:
-    """A new (*lead, P) buffer holding `arrays`, each shaped like its view."""
-    flat = np.empty(lead + (_layout(config)[-1][2],))
-    for name, view in _views(flat, config).items():
-        if np.shape(arrays[name]) != view.shape:
-            raise ValueError(
-                f"parameter '{name}' has shape {np.shape(arrays[name])}, expected {view.shape}")
-        view[...] = arrays[name]
-    return flat
 
 
 def _layer_pairs(views: dict[str, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -115,16 +99,12 @@ class Gradients(dict):
 class Activations:
     """What one forward pass computed, kept so `Model.backward` need not
     run it again: the input of every encoder layer and of the bottleneck
-    (the batch, then each ReLU output), and the outputs. Unpacks as
-    (features, logits, probs)."""
+    (the batch, then each cell's ReLU outputs), and the per-cell outputs."""
 
     inputs: list[np.ndarray]
     features: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
-
-    def __iter__(self):
-        return iter((self.features, self.logits, self.probs))
 
 
 class Model:
@@ -139,11 +119,15 @@ class Model:
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray] | None = None,
                  flat: np.ndarray | None = None):
-        """Copy `params` (one model's, or a stack's with a leading cell
-        axis) into a new flat buffer, or adopt `flat` itself as the buffer."""
+        """Copy `params`, shaped as `config.param_shapes()` gives them, into
+        a new one-cell buffer, or adopt the (K, P) `flat` as the buffer."""
         if flat is None:
-            first_weight = params[_layout(config)[0][0]]
-            flat = _flatten(config, params, np.shape(first_weight)[:-2])
+            for name, shape in config.param_shapes().items():
+                if np.shape(params[name]) != shape:
+                    raise ValueError(
+                        f"parameter '{name}' has shape {np.shape(params[name])}, expected {shape}")
+            flat = np.concatenate([np.ravel(params[name]) for name in config.param_shapes()],
+                                  dtype=np.float64)[None]
         self.config = config
         self.flat = flat
         self.params = _views(flat, config)
@@ -152,7 +136,7 @@ class Model:
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "Model":
-        """Glorot-uniform weights, zero biases, drawn from the given rng."""
+        """One cell: Glorot-uniform weights, zero biases, drawn from the given rng."""
         params = {name: _glorot(*shape, rng) if len(shape) == 2 else np.zeros(shape)
                   for name, shape in config.param_shapes().items()}
         return cls(config, params)
@@ -162,21 +146,19 @@ class Model:
 
     @classmethod
     def stack(cls, models: list["Model"]) -> "Model":
-        """K models of one architecture as one model whose parameters carry a
-        leading cell axis: `flat` is (K, P), weights (K, fan_in, fan_out),
-        biases (K, 1, fan_out) so they broadcast over batch rows. `forward`,
-        `backward` and `SgdMomentum` then work on all K cells at once, each
-        slice computing exactly what the single model would."""
-        return cls(models[0].config, flat=np.stack([m.flat for m in models]))
+        """The cells of models of one architecture, in order, as one stack.
+        `forward`, `backward` and `SgdMomentum` work on all cells at once,
+        each cell computing exactly what its one-cell model would."""
+        return cls(models[0].config, flat=np.concatenate([m.flat for m in models]))
 
     def cell(self, k: int) -> "Model":
-        """Cell `k` of a stacked model, as an ordinary model."""
-        return Model(self.config, flat=self.flat[k].copy())
+        """Cell `k`, as a one-cell model."""
+        return Model(self.config, flat=self.flat[k:k + 1].copy())
 
     def forward(self, batch: np.ndarray) -> Activations:
-        """Forward a (n, input_dim) batch. The result unpacks as
-        (features, logits, probs); with stacked parameters each has a leading
-        cell axis. Non-finite logits raise DivergenceError."""
+        """Forward a (n, input_dim) batch through every cell: features,
+        logits and probs are (K, n, ·). Non-finite logits raise
+        DivergenceError."""
         x = np.asarray(batch, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(
@@ -202,8 +184,7 @@ class Model:
             finite = np.isfinite(logits)
             if finite.all():
                 raise
-            raise DivergenceError("non-finite logits",
-                                  ~finite.all(axis=(1, 2)) if logits.ndim == 3 else None) from None
+            raise DivergenceError("non-finite logits", ~finite.all(axis=(1, 2))) from None
         return Activations(inputs, features, logits, probs)
 
     def backward(self, cache: Activations, loss_grad_on_logits: np.ndarray) -> Gradients:
@@ -227,16 +208,15 @@ class Model:
             if j < top - 1:
                 d *= layer_inputs[j + 1] > 0  # ReLU'(h) = 1 exactly where relu(h) > 0
             np.matmul(layer_inputs[j].swapaxes(-1, -2), d, out=grad_w)
-            np.add.reduce(d, axis=-2, out=grad_b, keepdims=self.flat.ndim == 2)
+            np.add.reduce(d, axis=-2, out=grad_b, keepdims=True)
             if j:
                 d = d @ self._layers[j][0].swapaxes(-1, -2)
         return self._grads
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
-        """Argmax class per row (per cell row for stacked parameters); ties go
-        to the lowest class index."""
-        _, logits, _ = self.forward(batch)
-        return logits.argmax(axis=-1)
+        """(K, n) argmax class of every cell's row; ties go to the lowest
+        class index."""
+        return self.forward(batch).logits.argmax(axis=-1)
 
 
 def cosine_lr(t: int, total_steps: int, eta_0: float, eta_1: float) -> float:
@@ -264,7 +244,8 @@ class SgdMomentum:
     velocity <- momentum * velocity + (grad + weight_decay * param)
     param    <- param - lr(t) * velocity
 
-    Velocity and weight decay are vectors laid out like `Model.flat`.
+    Velocity and weight decay are (K, P) arrays laid out like `Model.flat`,
+    so the update broadcasts nothing.
     """
 
     def __init__(self, model: Model, momentum: float = 0.9, weight_decay: float = 1e-3,
@@ -275,26 +256,25 @@ class SgdMomentum:
         self.total_steps = total_steps
         self._velocity, self._scratch = np.zeros_like(model.flat), np.empty_like(model.flat)
         self.velocity = _views(self._velocity, model.config)
-        self._decay = np.zeros(model.flat.shape[-1])
+        self._decay = np.zeros_like(model.flat)
         for name, start, stop, _ in _layout(model.config):
-            self._decay[start:stop] = weight_decay if name.endswith(".W") else 0.0
+            self._decay[:, start:stop] = weight_decay if name.endswith(".W") else 0.0
 
     def lr_at(self, t: int) -> float:
         return cosine_lr(min(t, self.total_steps), self.total_steps, self.eta_0, self.eta_1)
 
-    def step(self, model: Model, grads: dict[str, np.ndarray], t: int) -> None:
-        """One update of every parameter from `Model.backward`'s gradients or
-        any name -> array dict. Gradients are checked before any parameter
-        moves; a non-finite block raises DivergenceError naming it (with
-        stacked parameters, for the cells whose block is non-finite)."""
-        g = grads.flat if isinstance(grads, Gradients) else _flatten(
-            model.config, grads, model.flat.shape[:-1])
+    def step(self, model: Model, grads: Gradients, t: int) -> None:
+        """One update of every parameter from `Model.backward`'s gradients.
+        Gradients are checked before any parameter moves; a non-finite block
+        raises DivergenceError naming it, for the cells whose block is
+        non-finite."""
+        g = grads.flat
         if not np.logical_and.reduce(np.isfinite(g), axis=None):
-            for name, param in model.params.items():
-                finite = np.isfinite(grads[name])
+            for name, grad in grads.items():
+                finite = np.isfinite(grad)
                 if not finite.all():
                     raise DivergenceError(f"divergence detected in parameter block '{name}'",
-                                          ~finite.all(axis=(1, 2)) if param.ndim == 3 else None)
+                                          ~finite.all(axis=(1, 2)))
         lr = self.lr_at(t)
         # velocity = momentum * velocity + (grad + decay * param); param -= lr * velocity
         buf, velocity = self._scratch, self._velocity
@@ -307,8 +287,10 @@ class SgdMomentum:
 
 
 def save_model(model: Model, path: str) -> None:
-    """Versioned plain-text dump: header, then parameters in declared order
-    at 17 significant digits (exact float64 round trip)."""
+    """Versioned plain-text dump of a one-cell model: header, then parameters
+    in declared order at 17 significant digits (exact float64 round trip)."""
+    if len(model.flat) != 1:
+        raise ValueError(f"a model file holds a single model, got {len(model.flat)} cells")
     cfg = model.config
     with open(path, "w") as fh:
         fh.write(f"dmapl-model v{Model.FORMAT_VERSION}\n")
@@ -318,10 +300,10 @@ def save_model(model: Model, path: str) -> None:
         fh.write(f"bottleneck_dim {cfg.bottleneck_dim}\n")
         fh.write(f"num_classes {cfg.num_classes}\n")
         fh.write("activation relu\n")
-        for name, arr in model.params.items():
-            rows, cols = (arr.shape if arr.ndim == 2 else (1, arr.shape[0]))
+        for name, (arr,) in model.params.items():
+            rows, cols = arr.shape
             fh.write(f"param {name} {rows} {cols}\n")
-            textio.write_rows(fh, [arr.reshape(rows, cols)], [textio.FLOAT], textio.ROWS)
+            textio.write_rows(fh, [arr], [textio.FLOAT], textio.ROWS)
 
 
 def load_model(path: str) -> Model:

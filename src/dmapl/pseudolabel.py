@@ -7,6 +7,7 @@ prototypical class assignments (coefficient beta).
 
 Per-instance update counters make the soft-label mass identity testable: after
 t updates the L1 mass of an instance's soft label is exactly 1 - beta^t.
+Both keep one independent cell per coefficient, matching the model's cells.
 """
 
 from __future__ import annotations
@@ -19,39 +20,35 @@ from .numkit import ZERO_NORM_EPS, any_outside
 
 def class_feature_means(z_batch: np.ndarray, pseudo_labels: np.ndarray,
                         num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class mean of the (unit-norm) feature rows with that pseudo-label.
+    """Per cell, the mean of the (unit-norm) feature rows of each pseudo-label.
 
-    z_batch is (n, dim) and pseudo_labels (n,), or both carry a leading cell
-    axis: (K, n, dim) and (K, n). Returns (means, present): means is
-    (C, dim) (or (K, C, dim)) with zero rows for classes absent from the
-    batch, present the matching (C,) (or (K, C)) bool mask of classes seen.
-    Rows are summed in batch order, so each mean equals `z[mask].mean(0)`.
+    z_batch is (K, n, dim) and pseudo_labels (K, n). Returns (means,
+    present): means is (K, C, dim) with zero rows for classes absent from a
+    cell's batch, present the matching (K, C) bool mask of classes seen.
+    Rows are summed in batch order, so each mean equals `z[k][mask].mean(0)`.
     """
     z = np.asarray(z_batch, dtype=np.float64)
     labels = np.asarray(pseudo_labels, dtype=np.int64)
-    if labels.shape != z.shape[:-1] or labels.ndim not in (1, 2):
+    if labels.ndim != 2 or labels.shape != z.shape[:-1]:
         raise ValueError("pseudo_labels must align with z_batch rows")
     if any_outside(labels, num_classes):
         raise ValueError("pseudo-label out of range")
     # one bin per (cell, class); bincount adds its weights in input order,
     # so every (cell, class, dim) sum runs in batch order
-    cells = labels.shape[0] if labels.ndim == 2 else 1
-    offsets = num_classes * np.arange(cells)[:, None] if labels.ndim == 2 else 0
-    bins = (labels + offsets).ravel()
-    dim = z.shape[-1]
+    cells, dim = len(labels), z.shape[-1]
+    bins = (labels + num_classes * np.arange(cells)[:, None]).ravel()
     sums = np.bincount((bins[:, None] * dim + np.arange(dim)).ravel(), z.ravel(),
                        cells * num_classes * dim)
     counts = np.bincount(bins, minlength=cells * num_classes)
     means = sums.reshape(-1, dim) / np.maximum(counts, 1)[:, None]
-    lead = labels.shape[:-1]
-    return means.reshape(lead + (num_classes, dim)), (counts > 0).reshape(lead + (num_classes,))
+    return means.reshape(cells, num_classes, dim), (counts > 0).reshape(cells, num_classes)
 
 
 def _coefficient(value, name: str) -> np.ndarray:
-    """A moving-average coefficient in (0, 1): a scalar, or one per cell."""
+    """A (K,) sequence of moving-average coefficients in (0, 1), one per cell."""
     coef = np.asarray(value, dtype=np.float64)
-    if coef.ndim > 1 or not np.all((coef > 0.0) & (coef < 1.0)):
-        raise ValueError(f"{name} must be in (0, 1)")
+    if coef.ndim != 1 or not np.all((coef > 0.0) & (coef < 1.0)):
+        raise ValueError(f"{name} must be a sequence of values in (0, 1)")
     return coef
 
 
@@ -60,23 +57,18 @@ class CentroidBank:
 
     Centroids start at zero and are flagged initialized on their first
     non-degenerate update; prototype assignment refuses to run until every
-    class has been initialized. With a (K,) sequence of `alpha` values the
-    bank holds K independent cells, one per coefficient: every array gains a
-    leading cell axis and each cell evolves exactly as its own bank would.
-    `degenerate_skips` is an int for a single bank and a (K,) int array for
-    a stacked one.
+    class has been initialized. The bank holds one independent cell per
+    value of the (K,) `alpha`: mu is (K, C, dim), and each cell evolves
+    exactly as a one-cell bank would. `degenerate_skips` counts skipped
+    updates per cell.
     """
 
     def __init__(self, num_classes: int, dim: int, alpha):
         coef = _coefficient(alpha, "alpha")
-        self._alpha = coef[..., None, None]
-        self.mu = np.zeros(coef.shape + (num_classes, dim))
-        self.initialized = np.zeros(coef.shape + (num_classes,), dtype=bool)
-        self.degenerate_skips = 0 if coef.ndim == 0 else np.zeros(coef.shape, dtype=np.int64)
-
-    @property
-    def num_classes(self) -> int:
-        return self.mu.shape[-2]
+        self._alpha = coef[:, None, None]
+        self.mu = np.zeros((len(coef), num_classes, dim))
+        self.initialized = np.zeros((len(coef), num_classes), dtype=bool)
+        self.degenerate_skips = np.zeros(len(coef), dtype=np.int64)
 
     @property
     def warm(self) -> np.ndarray:
@@ -99,8 +91,7 @@ class CentroidBank:
         # a stacked dot per row, which sums like the 1-D np.linalg.norm
         norm = np.sqrt((blend[..., None, :] @ blend[..., :, None])[..., 0, 0])
         degenerate = norm <= ZERO_NORM_EPS
-        skipped = np.add.reduce(present & degenerate, axis=-1)
-        self.degenerate_skips += skipped if skipped.ndim else int(skipped)
+        self.degenerate_skips += np.add.reduce(present & degenerate, axis=-1)
         moved = present & ~degenerate
         self.mu = np.where(moved[..., None], blend / np.where(moved, norm, 1.0)[..., None],
                            self.mu)
@@ -109,19 +100,16 @@ class CentroidBank:
     def assign(self, z_batch: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
         """Prototypical assignment: the class argmax_c z . mu_c per row
         (cosine similarity, both unit-norm); ties go to the lowest class index.
-        Returns (n,) class indices.
-
-        For a stacked bank z_batch is (K, n, dim) and the result (K, n);
-        `cells`, a (K,) bool mask, restricts the assignment (and the warm-up
-        check) to those cells, giving (cells.sum(), n).
+        z_batch is (K, n, dim) and the result (K, n) class indices; `cells`,
+        a (K,) bool mask, restricts the assignment (and the warm-up check)
+        to those cells, giving (cells.sum(), n).
         """
         mu, initialized = self.mu, self.initialized
         z = np.asarray(z_batch, dtype=np.float64)
         if cells is not None:
             mu, initialized, z = mu[cells], initialized[cells], z[cells]
         if not np.logical_and.reduce(initialized, axis=None):
-            missing = np.flatnonzero(
-                (~initialized).reshape(-1, self.num_classes).any(axis=0)).tolist()
+            missing = np.flatnonzero((~initialized).any(axis=0)).tolist()
             raise RuntimeError(f"prototype bank not warmed up (classes {missing} never seen)")
         sims = z @ mu.swapaxes(-1, -2)
         return sims.argmax(axis=-1)
@@ -132,16 +120,16 @@ class SoftLabelStore:
 
     q_i <- beta * q_i + (1 - beta) * onehot(y_i) for the assigned class y_i,
     starting from zero (not uniform), with a per-instance update counter t_i.
-    The L1 mass of q_i is then exactly 1 - beta^{t_i}. With a (K,) sequence
-    of `beta` values the store holds K independent cells: q is (K, n, C) and
-    the counters (K, n).
+    The L1 mass of q_i is then exactly 1 - beta^{t_i}. The store holds one
+    independent cell per value of the (K,) `beta`: q is (K, n, C) and the
+    counters (K, n).
     """
 
     def __init__(self, n_instances: int, num_classes: int, beta):
         coef = _coefficient(beta, "beta")
-        self._beta = coef[..., None, None]
-        self.q = np.zeros(coef.shape + (n_instances, num_classes))
-        self.update_counts = np.zeros(coef.shape + (n_instances,), dtype=np.int64)
+        self._beta = coef[:, None, None]
+        self.q = np.zeros((len(coef), n_instances, num_classes))
+        self.update_counts = np.zeros((len(coef), n_instances), dtype=np.int64)
 
     @property
     def n_instances(self) -> int:
@@ -154,14 +142,14 @@ class SoftLabelStore:
     def update(self, indices: np.ndarray, classes: np.ndarray,
                cells: np.ndarray | None = None) -> None:
         """Moving-average update for the listed instances only: scale their
-        rows by beta, then add 1 - beta at each row's assigned class. For a
-        stacked store `classes` is (K, len(indices)), or covers only the
-        cells of the (K,) bool mask `cells`."""
+        rows by beta, then add 1 - beta at each row's assigned class.
+        `classes` is (K, len(indices)), or covers only the cells of the (K,)
+        bool mask `cells`."""
         idx = np.asarray(indices, dtype=np.int64)
         y = np.asarray(classes)
         if any_outside(idx, self.n_instances):
             raise IndexError("soft-label index out of range")
-        beta, rows = self._beta, ((idx,) if self.q.ndim == 2 else (slice(None), idx))
+        beta, rows = self._beta, (slice(None), idx)
         if cells is not None:
             beta, rows = beta[cells], np.ix_(np.flatnonzero(cells), idx)
         q = self.q[rows]
@@ -178,12 +166,10 @@ class SoftLabelStore:
         self.update_counts[rows] += 1
 
     def save_csv(self, path: str) -> None:
-        """Snapshot export: index, update count, then the q vector per
-        instance. A stacked store must hold a single cell."""
-        q = self.q.reshape(-1, self.n_instances, self.num_classes)
-        counts = self.update_counts.reshape(-1, self.n_instances)
-        if len(q) != 1:
-            raise ValueError(f"soft-label snapshot needs a single cell, store has {len(q)}")
+        """Snapshot export of a one-cell store: index, update count, then the
+        q vector per instance."""
+        if len(self.q) != 1:
+            raise ValueError(f"soft-label snapshot needs a single cell, store has {len(self.q)}")
         header = ["index", "count"] + [f"q{c}" for c in range(self.num_classes)]
-        textio.write_csv(path, header, [np.arange(self.n_instances), counts[0], q[0]],
-                         [textio.INT, textio.INT, textio.FLOAT])
+        textio.write_csv(path, header, [np.arange(self.n_instances), self.update_counts[0],
+                                        self.q[0]], [textio.INT, textio.INT, textio.FLOAT])

@@ -44,14 +44,17 @@ class SplitResult:
 
 
 def split_target(source_model: Model, target_train: Dataset, p_th: float) -> SplitResult:
-    """Split by max predicted probability >= p_th (boundary instances are
-    confident). Deterministic; argmax ties go to the lowest class index. The
-    returned arrays are read-only."""
+    """Split by the one-cell source model's max predicted probability >= p_th
+    (boundary instances are confident). Deterministic; argmax ties go to the
+    lowest class index. The returned arrays are read-only."""
     if not (0.0 < p_th < 1.0):
         raise ValueError("p_th must be in (0, 1)")
     if target_train.n == 0:
         raise ValueError("target_train is empty")
-    _, _, probs = source_model.forward(target_train.features)
+    if len(source_model.flat) != 1:
+        raise ValueError(
+            f"the split needs a single source model, got {len(source_model.flat)} cells")
+    probs = source_model.forward(target_train.features).probs[0]
     max_prob = probs.max(axis=1)
     predicted = probs.argmax(axis=1)
     confident = max_prob >= p_th

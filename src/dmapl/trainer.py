@@ -3,12 +3,12 @@ the ablation variants, and hyperparameter sweeps.
 
 Every routine is deterministic in (config, seed, data): one PCG64 stream per
 run drives initialization and every shuffle, and no wall-clock state leaks
-into the numerics. Every phase trains through one SGD loop, `_fit`.
-Adaptation splits the target training set exactly once, with the source
-model, and never touches the frozen pseudo-labels afterwards.
-Configs that differ only in alpha, beta and lambda adapt in lockstep: one
-loop over parameters stacked along a leading cell axis, each cell computing
-exactly what its own run computes.
+into the numerics. Every phase trains a stack of model cells through one SGD
+loop, `_fit`; source training and naive_pl train one cell. Adaptation splits
+the target training set exactly once, with the source model, and never
+touches the frozen pseudo-labels afterwards. Configs that differ only in
+alpha, beta and lambda adapt in lockstep, a cell each in one loop, each cell
+computing exactly what its own run computes.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _fit(model: Model, config: TrainConfig, epochs: int, iters_per_epoch: int, b
     The phase supplies what differs: `batches()` yields one epoch's batches,
     drawing from the phase's rng in its fixed order, and `step(batch)`
     returns the forward cache, the loss gradient on its logits and a tuple
-    of losses (floats, or per-cell arrays).
+    of per-cell loss arrays.
     """
     opt = SgdMomentum(model, config.momentum, config.weight_decay, config.eta_0,
                       config.eta_1, epochs * iters_per_epoch)
@@ -214,8 +214,8 @@ def _fit_hard_labels(model: Model, config: TrainConfig, epochs: int, rng: np.ran
     def step(batch):
         cache = model.forward(batch[0])
         loss, grad = labeled_ce(cache.probs, batch[1])
-        if not math.isfinite(loss):
-            raise DivergenceError(f"non-finite {what} loss")
+        if not all(map(math.isfinite, loss)):
+            raise DivergenceError(f"non-finite {what} loss", ~np.isfinite(loss))
         return cache, grad, (loss,)
 
     return _fit(model, config, epochs, math.ceil(len(x) / config.batch_size_l), batches, step)
@@ -244,7 +244,8 @@ def train_source(source_train: Dataset, source_val: Dataset,
         val_acc = evaluate(model, source_val).micro
         if val_acc >= best_acc:
             best_acc, best_model = val_acc, model.copy()
-        record.epochs.append({"epoch": epoch, "train_ce": ce, "val_micro": val_acc, "lr": lr})
+        record.epochs.append({"epoch": epoch, "train_ce": float(ce[0]), "val_micro": val_acc,
+                              "lr": lr})
     record.final = {"best_val_micro": best_acc}
     record.wall_clock_sec = time.perf_counter() - start
     return best_model, record
@@ -265,17 +266,15 @@ def _unwrap(outcome):
 
 
 def _test_metrics(model: Model, k: int, eval_data: Dataset | None) -> dict:
-    """Test metrics of cell `k` of a stacked model (or of a single model), or
-    none without `eval_data`. If the cell's logits are non-finite, the
-    DivergenceError names that cell alone."""
+    """Test metrics of cell `k` of the model, or none without `eval_data`.
+    If the cell's logits are non-finite, the DivergenceError names that cell
+    alone."""
     if eval_data is None:
         return {}
-    stacked = model.flat.ndim == 2
     try:
-        metrics = evaluate(model.cell(k) if stacked else model, eval_data)
+        metrics = evaluate(model.cell(k), eval_data)
     except DivergenceError as exc:
-        cells = np.arange(len(model.flat)) == k if stacked else None
-        raise DivergenceError(str(exc), cells) from None
+        raise DivergenceError(str(exc), np.arange(len(model.flat)) == k) from None
     return {"test_macro": metrics.macro, "test_micro": metrics.micro}
 
 
@@ -315,6 +314,7 @@ def _dual_average(source_model: Model, target_train: Dataset, configs: list[Trai
     cycler = _Cycler(n_l, rng) if n_l > config.batch_size_l else None
     labeled_x = target_train.features[labeled_idx]
     unlabeled_x = target_train.features[unlabeled_idx]
+    no_loss = np.zeros(len(configs))
 
     def batches():
         u_perm = rng.permutation(n_u)
@@ -348,12 +348,12 @@ def _dual_average(source_model: Model, target_train: Dataset, configs: list[Trai
             loss_l, g_l = labeled_ce(probs[:, :nl], labels)
             grad_logits[:, :nl] = lam_rows * g_l
         else:
-            loss_l = 0.0
+            loss_l = no_loss
         if u_pos.size:
             loss_u, g_u = soft_ce(probs[:, nl:], store.q[:, u_pos])
             grad_logits[:, nl:] = g_u
         else:
-            loss_u = 0.0
+            loss_u = no_loss
         total = loss_u + lam * loss_l
         finite = np.isfinite(total)
         if not np.logical_and.reduce(finite):
@@ -370,9 +370,9 @@ def _adapt_group(source_model: Model, target_train: Dataset, configs: list[Train
                  eval_data: Dataset | None,
                  snapshot_dir: str | None) -> list[tuple[Model, RunRecord]]:
     """One adaptation run for K >= 1 configs with one `_lockstep_key`, and
-    per config its (model, record). The moving-average modes run the K cells
-    in lockstep; naive_pl, which none of alpha, beta and lambda affect, and
-    source_only run once for all of them."""
+    per config its (model, record). The moving-average modes run one cell
+    per config in lockstep; naive_pl, which none of alpha, beta and lambda
+    affect, and source_only run one cell that serves every config."""
     start = time.perf_counter()
     config = configs[0]
     rng = make_rng(config.seed)
@@ -387,27 +387,29 @@ def _adapt_group(source_model: Model, target_train: Dataset, configs: list[Train
         # self-training: re-label everything with the current model at each
         # epoch start, then train one epoch of hard CE on those labels
         model, x = source_model.copy(), target_train.features
-        epochs = ((epoch, (ce, 0.0, ce), lr) for epoch, (ce,), lr in _fit_hard_labels(
-            model, config, config.adapt_epochs, rng, x, lambda: model.predict(x),
+        epochs = ((epoch, (ce, np.zeros(1), ce), lr) for epoch, (ce,), lr in _fit_hard_labels(
+            model, config, config.adapt_epochs, rng, x, lambda: model.predict(x)[0],
             "naive pseudo-labeling"))
     else:
         model = source_model  # source_only; every result below is a copy
+    # record k reads cell k of a lockstep stack, or the one cell of the others
+    cell_of = np.broadcast_to(np.arange(len(model.flat)), len(records))
     for epoch, means, lr in epochs:
-        for k, record in enumerate(records):
+        for record, k in zip(records, cell_of):
             entry = {"epoch": epoch, "lr": lr}
             for name, mean in zip(("loss_l", "loss_u", "loss_total"), means):
-                entry[name] = float(mean[k]) if np.ndim(mean) else mean
+                entry[name] = float(mean[k])
             entry.update(_test_metrics(model, k, eval_data))
             record.epochs.append(entry)
         if snapshot_dir is not None and store is not None:
             store.save_csv(os.path.join(snapshot_dir, f"soft_labels_epoch{epoch:03d}.csv"))
     results = []
-    for k, record in enumerate(records):
+    for record, k in zip(records, cell_of):
         # the last epoch's figures are the final ones (source_only has no epochs)
         last = record.epochs[-1] if record.epochs else _test_metrics(model, k, eval_data)
         record.final = {key: v for key, v in last.items() if key not in ("epoch", "lr")}
         record.wall_clock_sec = time.perf_counter() - start
-        results.append((model.cell(k) if model.flat.ndim == 2 else model.copy(), record))
+        results.append((model.cell(k), record))
     return results
 
 
@@ -456,7 +458,8 @@ def adapt(source_model: Model, target_train: Dataset,
             results = _adapt_group(source_model, target_train, [configs[i] for i in alive],
                                    split, diagnostic_labels, eval_data, snapshot_dir)
         except DivergenceError as exc:
-            failed = [True] * len(alive) if exc.cells is None else exc.cells
+            # a one-cell run serves every config, so its mask covers them all
+            failed = np.broadcast_to(exc.cells, len(alive))
             for i, diverged in zip(alive, failed):
                 if diverged:
                     outcomes[i] = exc
@@ -579,9 +582,9 @@ def _sweep_one_seed(args: tuple) -> list[dict]:
     return rows
 
 
-def _sweep_work(spec: DomainShiftSpec, base_config: TrainConfig, grid, seeds, jobs) -> list:
-    """Check `sweep`'s arguments and every cell's config; return per seed its
-    spec, its (grid keys, cell values) pairs and their configs."""
+def _grid_cells(base_config: TrainConfig, grid) -> list[tuple[list[str], tuple]]:
+    """Check one grid or a list of grids, and the config of every cell;
+    return the (grid keys, cell values) pairs in (grid, cell) order."""
     grids = [grid] if isinstance(grid, dict) else list(grid)
     if not grids or not all(grids):
         raise ValueError("empty grid")
@@ -591,6 +594,16 @@ def _sweep_work(spec: DomainShiftSpec, base_config: TrainConfig, grid, seeds, jo
             raise ValueError(f"grid keys must be among {SWEEPABLE}, got {sorted(unknown)}")
         if any(len(v) == 0 for v in g.values()):
             raise ValueError("empty grid axis")
+    cells = [(list(g), cell) for g in grids for cell in itertools.product(*g.values())]
+    for keys, cell in cells:
+        _cell_config(base_config, keys, cell)
+    return cells
+
+
+def _sweep_work(spec: DomainShiftSpec, base_config: TrainConfig, grid, seeds, jobs) -> list:
+    """Check `sweep`'s arguments and every cell's config; return per seed its
+    spec, its (grid keys, cell values) pairs and their configs."""
+    cells = _grid_cells(base_config, grid)
     if base_config.mode != "dmapl":
         raise ValueError("sweep runs the dmapl mode")
     if seeds is None:
@@ -599,7 +612,6 @@ def _sweep_work(spec: DomainShiftSpec, base_config: TrainConfig, grid, seeds, jo
         raise ValueError("no seeds to sweep")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    cells = [(list(g), cell) for g in grids for cell in itertools.product(*g.values())]
     return [(replace(spec, seed=seed), cells,
              [_cell_config(replace(base_config, seed=seed), keys, cell) for keys, cell in cells])
             for seed in seeds]

@@ -46,13 +46,13 @@ def test_criterion_1_soft_label_mass_identity():
             n_seq = 334
             total_sequences += n_seq
             lengths = rng.integers(1, 1001, size=n_seq)
-            store = SoftLabelStore(n_seq, classes, beta)
+            store = SoftLabelStore(n_seq, classes, [beta])
             for step in range(int(lengths.max())):
                 active = np.flatnonzero(lengths > step)
                 labels = rng.integers(0, classes, size=active.size)
-                store.update(active, labels)
-                mass = np.abs(store.q[active]).sum(axis=1)
-                expected = 1.0 - beta ** store.update_counts[active]
+                store.update(active, labels[None])
+                mass = np.abs(store.q[0, active]).sum(axis=1)
+                expected = 1.0 - beta ** store.update_counts[0, active]
                 assert np.abs(mass - expected).max() < 1e-12
         assert total_sequences >= 1000
         elapsed = time.perf_counter() - start
@@ -67,26 +67,25 @@ def test_criterion_2_soft_label_closed_form():
             for _ in range(20):
                 length = int(rng.integers(1, 1000))
                 history = rng.integers(0, classes, size=length)
-                store = SoftLabelStore(1, classes, beta)
+                store = SoftLabelStore(1, classes, [beta])
                 for label in history:
-                    store.update(np.array([0]), np.array([label]))
+                    store.update(np.array([0]), np.array([[label]]))
                 closed = np.zeros(classes)
                 for s, label in enumerate(history, start=1):
                     closed[label] += (1.0 - beta) * beta ** (length - s)
-                assert np.abs(store.q[0] - closed).max() < 1e-10
+                assert np.abs(store.q[0, 0] - closed).max() < 1e-10
 
 
 # ---------------------------------------------------------------- 3
 
 def _fd_logit_grad(loss_from_logits, logits, step=1e-5):
     g = np.zeros_like(logits)
-    for i in range(logits.shape[0]):
-        for j in range(logits.shape[1]):
-            plus = logits.copy()
-            plus[i, j] += step
-            minus = logits.copy()
-            minus[i, j] -= step
-            g[i, j] = (loss_from_logits(plus) - loss_from_logits(minus)) / (2 * step)
+    for idx in np.ndindex(logits.shape):
+        plus = logits.copy()
+        plus[idx] += step
+        minus = logits.copy()
+        minus[idx] -= step
+        g[idx] = (loss_from_logits(plus) - loss_from_logits(minus)) / (2 * step)
     return g
 
 
@@ -100,20 +99,20 @@ def test_criterion_3_gradient_checks():
         start = time.perf_counter()
         rng = make_rng(2)
 
-        for _ in range(100):  # labeled CE on random logits
+        for _ in range(100):  # labeled CE on random logits of one cell
             n, c = int(rng.integers(1, 9)), int(rng.integers(2, 6))
-            logits = rng.normal(size=(n, c))
+            logits = rng.normal(size=(1, n, c))
             labels = rng.integers(0, c, size=n)
-            _, analytic = labeled_ce(softmax(logits, axis=1), labels)
-            numeric = _fd_logit_grad(lambda lg: labeled_ce(softmax(lg, axis=1), labels)[0], logits)
+            _, analytic = labeled_ce(softmax(logits), labels)
+            numeric = _fd_logit_grad(lambda lg: labeled_ce(softmax(lg), labels)[0][0], logits)
             assert _rel_err(analytic, numeric) < 1e-4
 
-        for _ in range(100):  # soft CE on random (logits, q)
+        for _ in range(100):  # soft CE on random (logits, q) of one cell
             n, c = int(rng.integers(1, 9)), int(rng.integers(2, 6))
-            logits = rng.normal(size=(n, c))
-            q = rng.random((n, c))
-            _, analytic = soft_ce(softmax(logits, axis=1), q)
-            numeric = _fd_logit_grad(lambda lg: soft_ce(softmax(lg, axis=1), q)[0], logits)
+            logits = rng.normal(size=(1, n, c))
+            q = rng.random((1, n, c))
+            _, analytic = soft_ce(softmax(logits), q)
+            numeric = _fd_logit_grad(lambda lg: soft_ce(softmax(lg), q)[0][0], logits)
             assert _rel_err(analytic, numeric) < 1e-4
 
         for trial in range(100):  # full-model backprop through a 3-layer net
@@ -126,8 +125,7 @@ def test_criterion_3_gradient_checks():
             labels = rng.integers(0, cfg.num_classes, size=x.shape[0])
 
             def model_loss():
-                _, _, probs = model.forward(x)
-                return labeled_ce(probs, labels)[0]
+                return labeled_ce(model.forward(x).probs, labels)[0][0]
 
             cache = model.forward(x)
             _, logit_grad = labeled_ce(cache.probs, labels)
@@ -156,27 +154,28 @@ def test_criterion_4_centroid_invariants():
     with criterion(4, "centroid unit norm, exact first update, absent classes untouched"):
         rng = make_rng(3)
         classes, dim = 4, 6
-        bank = CentroidBank(classes, dim, alpha=0.9)
+        bank = CentroidBank(classes, dim, alpha=[0.9])
         first_updates: dict[int, np.ndarray] = {}
         for _ in range(1000):
             n = int(rng.integers(1, 16))
             z = rng.normal(size=(n, dim))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             labels = rng.integers(0, classes, size=n)
-            means, present = class_feature_means(z, labels, classes)
-            before = bank.mu.copy()
-            was_initialized = bank.initialized.copy()
-            bank.update(means, present)
+            (means,), (present,) = class_feature_means(z[None], labels[None], classes)
+            (before,) = bank.mu.copy()
+            (was_initialized,) = bank.initialized.copy()
+            bank.update(means[None], present[None])
+            (mu,), (initialized,) = bank.mu, bank.initialized
             for c in range(classes):
                 if not present[c]:
-                    assert np.array_equal(bank.mu[c], before[c])  # bit-unchanged
+                    assert np.array_equal(mu[c], before[c])  # bit-unchanged
                     continue
-                if not was_initialized[c] and bank.initialized[c] and c not in first_updates:
+                if not was_initialized[c] and initialized[c] and c not in first_updates:
                     expected = means[c] / np.linalg.norm(means[c])
-                    assert np.array_equal(bank.mu[c], expected)   # exact first update
+                    assert np.array_equal(mu[c], expected)   # exact first update
                     first_updates[c] = expected
-                if bank.initialized[c]:
-                    assert abs(np.linalg.norm(bank.mu[c]) - 1.0) < 1e-9
+                if initialized[c]:
+                    assert abs(np.linalg.norm(mu[c]) - 1.0) < 1e-9
         assert len(first_updates) == classes
 
 
@@ -199,8 +198,7 @@ def test_criterion_5_splitter_partition_monotonicity_boundary():
             n = int(rng.integers(5, 80))
             model = _identity_logit_model(c)
             data = Dataset(rng.normal(size=(n, c), scale=2.0), None, c)
-            _, _, probs = model.forward(data.features)
-            max_prob = probs.max(axis=1)
+            max_prob = model.forward(data.features).probs[0].max(axis=1)
             previous = None
             import warnings as _w
             for p_th in (0.45, 0.6, 0.75, 0.9):

@@ -390,11 +390,15 @@ def test_empty_seeds_rejected_before_training(command, tmp_path, monkeypatch, ca
     assert not (tmp_path / "out").exists()
 
 
-# "@name" stands for a path the test fills in; a dict is written as the grid file;
-# "@tiny" is a spec whose classes are too small for the benchmark's two splits
+# "@name" stands for a path the test fills in; a dict or a list is written as the
+# grid file, and a "sweep-grid-*" row's error must name that file; "@tiny" is a
+# spec whose classes are too small for the benchmark's two splits
 BAD_INPUTS = {
     "sweep-grid-value": ("sweep", "--grid", {"alpha": [2.0]}),
     "sweep-grid-key": ("sweep", "--grid", {"gamma": [1]}),
+    "sweep-grid-empty-list": ("sweep", "--grid", []),
+    "sweep-grid-empty-grid": ("sweep", "--grid", [{"alpha": [0.5]}, {}]),
+    "sweep-grid-empty-axis": ("sweep", "--grid", {"alpha": []}),
     "sweep-jobs": ("sweep", "--grid", {"alpha": [0.5]}, "--jobs", 0),
     "adapt": ("adapt", "--source-model", "@model", "--target-train", "@data",
               "--target-test", "@missing"),
@@ -408,20 +412,23 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
-def test_bad_input_fails_before_out_is_made(argv, data_dir, source_dir, tmp_path, monkeypatch,
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_fails_before_out_is_made(name, data_dir, source_dir, tmp_path, monkeypatch,
                                             capsys):
     calls = counting_train_source(monkeypatch)
     paths = {"@model": source_dir / "source_model.txt", "@data": data_dir / "target_train.csv",
              "@missing": tmp_path / "missing.csv", "@tiny": tmp_path / "tiny.txt"}
     paths["@tiny"].write_text("samples_per_class = 2\n")
     grid = tmp_path / "grid.json"
-    for arg in argv:
-        if isinstance(arg, dict):
+    argv = []
+    for arg in BAD_INPUTS[name]:
+        if isinstance(arg, (dict, list)):
             grid.write_text(json.dumps(arg))
-    argv = [grid if isinstance(arg, dict) else paths.get(arg, arg) for arg in argv]
+            arg = grid
+        argv.append(paths.get(arg, arg))
     assert run_cli(*argv, "--out", tmp_path / "out") == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {grid}: " if name.startswith("sweep-grid") else "error: ")
     assert calls == []
     assert not (tmp_path / "out").exists()
 

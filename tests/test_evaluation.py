@@ -63,7 +63,7 @@ def test_micro_equals_per_row_recount():
     data = Dataset(feats, labels, 3)
     model = identity_model()
     m = evaluate(model, data)
-    correct = sum(int(model.predict(feats[i:i + 1])[0]) == labels[i] for i in range(80))
+    correct = sum(int(model.predict(feats[i:i + 1])[0, 0]) == labels[i] for i in range(80))
     assert m.micro == pytest.approx(correct / 80, abs=1e-12)
 
 
@@ -73,10 +73,17 @@ def test_confusion_counts_every_label_prediction_pair():
     data = Dataset(rng.normal(size=(120, 4)), labels, 4)
     model = identity_model(4)
     expected = np.zeros((4, 4), dtype=np.int64)
-    np.add.at(expected, (labels, model.predict(data.features)), 1)
+    np.add.at(expected, (labels, model.predict(data.features)[0]), 1)
     confusion = evaluate(model, data).confusion
     assert confusion.dtype == np.int64
     np.testing.assert_array_equal(confusion, expected)
+
+
+def test_evaluate_rejects_a_stack_of_cells():
+    labels = np.array([0, 1, 2, 0])
+    data = Dataset(np.eye(3)[labels], labels, 3)
+    with pytest.raises(ValueError, match="single model, got 2 cells"):
+        evaluate(Model.stack([identity_model(), identity_model()]), data)
 
 
 def test_absent_class_excluded_from_macro():

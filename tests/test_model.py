@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dmapl.model import (DivergenceError, Model, ModelConfig, ModelFormatError,
+from dmapl.model import (DivergenceError, Gradients, Model, ModelConfig, ModelFormatError,
                          SgdMomentum, cosine_lr, load_model, save_model)
 from dmapl.numkit import make_rng, softmax
 
@@ -14,8 +14,7 @@ def small_model(seed=0, input_dim=3, hidden=(5, 4), bottleneck=3, classes=3):
 
 
 def numeric_loss(model, x, loss_of_logits):
-    _, logits, _ = model.forward(x)
-    return loss_of_logits(logits)
+    return loss_of_logits(model.forward(x).logits)
 
 
 def finite_diff_grads(model, x, loss_of_logits, step=1e-5):
@@ -43,11 +42,26 @@ def rel_err(a, b):
     return np.abs(a - b).max() / denom
 
 
+def filled_grads(model, value):
+    """A gradient buffer laid out like the model's, every entry `value`."""
+    return Gradients(np.full_like(model.flat, value), model.config)
+
+
+def test_init_builds_one_cell():
+    model = small_model()
+    assert model.flat.shape == (1, 5 * 3 + 5 + 4 * 5 + 4 + 3 * 4 + 3 + 3 * 3 + 3)
+    assert model.params["enc0.W"].shape == (1, 3, 5)
+    assert model.params["enc0.b"].shape == (1, 1, 5)
+    cache = model.forward(np.zeros((6, 3)))
+    assert cache.features.shape == (1, 6, 3) and cache.probs.shape == (1, 6, 3)
+    assert model.predict(np.zeros((6, 3))).shape == (1, 6)
+
+
 def test_zero_model_gives_uniform_probs():
     model = small_model()
     for p in model.params.values():
         p[...] = 0.0
-    _, _, probs = model.forward(np.random.default_rng(0).normal(size=(6, 3)))
+    probs = model.forward(np.random.default_rng(0).normal(size=(6, 3))).probs
     np.testing.assert_allclose(probs, 1 / 3, atol=1e-15)
 
 
@@ -59,8 +73,7 @@ def test_identity_layers_pass_input_through():
     model.params["classifier.W"][...] = np.eye(4)
     model.params["classifier.b"][...] = 0.0
     x = np.eye(4)[[2]]
-    _, logits, _ = model.forward(x)
-    np.testing.assert_array_equal(logits, x)
+    np.testing.assert_array_equal(model.forward(x).logits, [x])
 
 
 def test_forward_matches_straight_line_reimplementation():
@@ -71,10 +84,10 @@ def test_forward_matches_straight_line_reimplementation():
     a = np.maximum(a @ model.params["enc1.W"] + model.params["enc1.b"], 0.0)
     feats = a @ model.params["bottleneck.W"] + model.params["bottleneck.b"]
     logits = feats @ model.params["classifier.W"] + model.params["classifier.b"]
-    f, l, p = model.forward(x)
-    assert rel_err(f, feats) < 1e-12
-    assert rel_err(l, logits) < 1e-12
-    np.testing.assert_allclose(p, softmax(logits, axis=1), atol=1e-12)
+    cache = model.forward(x)
+    assert rel_err(cache.features, feats) < 1e-12
+    assert rel_err(cache.logits, logits) < 1e-12
+    np.testing.assert_allclose(cache.probs, softmax(logits, axis=-1), atol=1e-12)
 
 
 def test_forward_shape_mismatch_errors():
@@ -85,7 +98,7 @@ def test_forward_shape_mismatch_errors():
 def test_backward_zero_grad_gives_zero():
     model = small_model()
     x = make_rng(2).normal(size=(4, 3))
-    grads = model.backward(model.forward(x), np.zeros((4, 3)))
+    grads = model.backward(model.forward(x), np.zeros((1, 4, 3)))
     for g in grads.values():
         np.testing.assert_array_equal(g, 0.0)
 
@@ -95,7 +108,7 @@ def test_backward_matches_finite_differences():
     for trial in range(5):
         model = small_model(seed=trial)
         x = rng.normal(size=(4, 3))
-        w = rng.normal(size=(4, 3))  # arbitrary linear functional of the logits
+        w = rng.normal(size=(1, 4, 3))  # arbitrary linear functional of the logits
 
         def loss_of_logits(logits, w=w):
             return float((w * logits).sum())
@@ -136,8 +149,7 @@ def test_sgd_plain_gradient_descent():
     opt = SgdMomentum(model, momentum=0.0, weight_decay=0.0,
                       eta_0=0.1, eta_1=0.1, total_steps=10)
     before = {k: v.copy() for k, v in model.params.items()}
-    grads = {k: np.ones_like(v) for k, v in model.params.items()}
-    opt.step(model, grads, 0)
+    opt.step(model, filled_grads(model, 1.0), 0)
     for k in model.params:
         np.testing.assert_allclose(model.params[k], before[k] - 0.1, atol=1e-15)
 
@@ -146,7 +158,7 @@ def test_sgd_momentum_two_steps_velocity():
     model = small_model()
     opt = SgdMomentum(model, momentum=0.9, weight_decay=0.0,
                       eta_0=0.01, eta_1=0.01, total_steps=10)
-    grads = {k: np.full_like(v, 2.0) for k, v in model.params.items()}
+    grads = filled_grads(model, 2.0)
     opt.step(model, grads, 0)
     opt.step(model, grads, 1)
     # v1 = g, v2 = 0.9 g + g = 1.9 g
@@ -159,7 +171,7 @@ def test_sgd_zero_grads_zero_decay_leave_params():
     before = {k: v.copy() for k, v in model.params.items()}
     opt = SgdMomentum(model, momentum=0.9, weight_decay=0.0,
                       eta_0=0.01, eta_1=0.01, total_steps=10)
-    opt.step(model, {k: np.zeros_like(v) for k, v in model.params.items()}, 0)
+    opt.step(model, filled_grads(model, 0.0), 0)
     for k in model.params:
         np.testing.assert_array_equal(model.params[k], before[k])
 
@@ -170,7 +182,7 @@ def test_weight_decay_applies_to_weights_only():
     lr = 0.05
     opt = SgdMomentum(model, momentum=0.0, weight_decay=1e-3,
                       eta_0=lr, eta_1=lr, total_steps=10)
-    opt.step(model, {k: np.zeros_like(v) for k, v in model.params.items()}, 0)
+    opt.step(model, filled_grads(model, 0.0), 0)
     for k in model.params:
         if k.endswith(".W"):
             np.testing.assert_allclose(model.params[k], before[k] * (1 - lr * 1e-3), atol=1e-15)
@@ -181,10 +193,11 @@ def test_weight_decay_applies_to_weights_only():
 def test_sgd_nonfinite_gradient_raises_naming_block():
     model = small_model()
     opt = SgdMomentum(model, total_steps=10)
-    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-    grads["enc0.W"][0, 0] = np.nan
-    with pytest.raises(DivergenceError, match="enc0.W"):
+    grads = filled_grads(model, 0.0)
+    grads["enc0.W"][0, 0, 0] = np.nan
+    with pytest.raises(DivergenceError, match="enc0.W") as info:
         opt.step(model, grads, 0)
+    assert info.value.cells.tolist() == [True]
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):
@@ -193,11 +206,17 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     save_model(model, str(path))
     back = load_model(str(path))
     assert back.config == model.config
+    np.testing.assert_array_equal(back.flat, model.flat)
     x = make_rng(5).normal(size=(6, 3))
-    f1, l1, p1 = model.forward(x)
-    f2, l2, p2 = back.forward(x)
-    np.testing.assert_array_equal(l1, l2)
-    np.testing.assert_array_equal(p1, p2)
+    np.testing.assert_array_equal(model.forward(x).logits, back.forward(x).logits)
+    np.testing.assert_array_equal(model.forward(x).probs, back.forward(x).probs)
+
+
+def test_save_rejects_a_stack_of_cells(tmp_path):
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match="single model, got 2 cells"):
+        save_model(Model.stack([small_model(seed=0), small_model(seed=1)]), str(path))
+    assert not path.exists()
 
 
 def test_load_wrong_layer_count(tmp_path):
@@ -257,9 +276,10 @@ def test_init_is_deterministic_in_seed():
         np.testing.assert_array_equal(a.params[k], b.params[k])
 
 
-# ---- stacked parameters (one cell per slice) ----
+# ---- stacks of several cells ----
 
 def test_stacked_model_slices_equal_single_models_bit_for_bit():
+    # cell k of a 3-stack computes exactly what the one-cell model k does
     models = [small_model(seed=s) for s in range(3)]
     stacked = Model.stack(models)
     assert stacked.params["enc0.b"].shape == (3, 1, 5)
@@ -272,34 +292,33 @@ def test_stacked_model_slices_equal_single_models_bit_for_bit():
     opt_stacked.step(stacked, grads, 3)
     for k, model in enumerate(models):
         single = model.forward(x)
-        np.testing.assert_array_equal(cache.probs[k], single.probs)
-        np.testing.assert_array_equal(cache.features[k], single.features)
-        single_grads = model.backward(single, g[k])
+        np.testing.assert_array_equal(cache.probs[k:k + 1], single.probs)
+        np.testing.assert_array_equal(cache.features[k:k + 1], single.features)
+        single_grads = model.backward(single, g[k:k + 1])
         for name in model.params:
-            np.testing.assert_array_equal(grads[name][k].reshape(model.params[name].shape),
-                                          single_grads[name])
+            np.testing.assert_array_equal(grads[name][k:k + 1], single_grads[name])
         opt = SgdMomentum(model, 0.9, 1e-3, 0.1, 0.01, 10)
         opt.step(model, single_grads, 3)
-        cell = stacked.cell(k)
-        for name in model.params:
-            np.testing.assert_array_equal(cell.params[name], model.params[name])
+        np.testing.assert_array_equal(stacked.cell(k).flat, model.flat)
+    np.testing.assert_array_equal(Model.stack([stacked.cell(2), stacked.cell(0)]).flat,
+                                  stacked.flat[[2, 0]])
 
 
 def test_nonfinite_logits_raise_divergence_naming_cells():
     models = [small_model(seed=s) for s in range(3)]
-    models[1].params["classifier.b"][0] = np.inf
+    models[1].params["classifier.b"][0, 0, 0] = np.inf
     with pytest.raises(DivergenceError, match="non-finite logits") as info:
         Model.stack(models).forward(np.ones((2, 3)))
     assert info.value.cells.tolist() == [False, True, False]
     with pytest.raises(DivergenceError, match="non-finite logits") as info:
         models[1].forward(np.ones((2, 3)))
-    assert info.value.cells is None
+    assert info.value.cells.tolist() == [True]
 
 
 def test_stacked_sgd_nonfinite_gradient_names_cells_and_moves_nothing():
     stacked = Model.stack([small_model(seed=s) for s in range(2)])
     before = {k: v.copy() for k, v in stacked.params.items()}
-    grads = {k: np.zeros_like(v) for k, v in stacked.params.items()}
+    grads = filled_grads(stacked, 0.0)
     grads["classifier.W"][1, 0, 0] = np.nan
     with pytest.raises(DivergenceError, match="classifier.W") as info:
         SgdMomentum(stacked).step(stacked, grads, 0)

@@ -38,10 +38,15 @@ def test_boundary_instance_is_confident():
     # p_th set to the instance's own max prob exercises the >= rule exactly
     data = probs_dataset([[0.9, 0.1], [0.5, 0.5]])
     model = logit_model()
-    _, _, probs = model.forward(data.features)
-    threshold = float(probs[0].max())
+    threshold = float(model.forward(data.features).probs[0, 0].max())
     result = split_target(model, data, threshold)
     assert 0 in result.labeled_indices.tolist()
+
+
+def test_split_rejects_a_stack_of_cells():
+    data = probs_dataset([[0.95, 0.05], [0.6, 0.4]])
+    with pytest.raises(ValueError, match="single source model, got 2 cells"):
+        split_target(Model.stack([logit_model(), logit_model()]), data, 0.9)
 
 
 def test_partition_exhaustive_and_disjoint():

@@ -36,12 +36,12 @@ def _write_golden_files(out) -> dict[str, bytes]:
     # signed zero, the smallest subnormal, a huge and a plain value
     model.params["classifier.b"][:] = [-0.0, 5e-324, 1e300, -1.5]
 
-    store = SoftLabelStore(7, 3, beta=0.7)
+    store = SoftLabelStore(7, 3, beta=[0.7])
     rng = make_rng(5)
     for _ in range(4):
         rows = rng.permutation(7)[:4]
-        store.update(rows, rng.integers(0, 3, size=4))
-    assert len(set(store.update_counts.tolist())) > 1
+        store.update(rows, rng.integers(0, 3, size=(1, 4)))
+    assert len(set(store.update_counts[0].tolist())) > 1
 
     paths = {name: out / name for name in
              ("labeled.csv", "unlabeled.csv", "model.txt", "soft_labels.csv", "split.csv")}

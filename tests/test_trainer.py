@@ -165,7 +165,7 @@ def test_naive_pl_fixed_point_on_no_shift_target():
     before = evaluate(model, bench.target_test).micro
     assert before >= 0.99  # no shift: the source model is already right
     predicted = model.predict(bench.target_train.features)
-    np.testing.assert_array_equal(predicted, bench.target_train.labels)
+    np.testing.assert_array_equal(predicted, [bench.target_train.labels])
     out, _ = adapt(model, bench.target_train.without_labels(),
                    TrainConfig(mode="naive_pl", seed=6, adapt_epochs=3))
     assert evaluate(out, bench.target_test).micro >= before - 1e-12
