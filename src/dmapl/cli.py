@@ -207,12 +207,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:  # every rejection of the grid file's contents names the file
         with open(args.grid) as fh:
             grid = json.load(fh)
-        grids = grid if isinstance(grid, list) else [grid]
-        if not all(isinstance(g, dict) and all(isinstance(v, list) for v in g.values())
-                   for g in grids):
-            raise ValueError("a grid must map parameter names to value lists; "
-                             "the file holds one grid or a list of them")
-        _grid_cells(base_config, grid)
+        cells = _grid_cells(base_config, grid)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.grid}: malformed grid file ({exc})") from None
     except ValueError as exc:
@@ -225,7 +220,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         json.dump(grid, fh, sort_keys=True)
         fh.write("\n")
     rows = sweep(spec, base_config, grid, seeds=seeds, jobs=args.jobs)  # one source model per seed
-    keys = list(dict.fromkeys(key for g in grids for key in g))
+    keys = list(dict.fromkeys(key for cell_keys, _ in cells for key in cell_keys))
     _write_table(os.path.join(args.out, "sweep.csv"), rows,
                  keys + ["ratio", "pl_acc", "test_acc", "seed", "error"])
     width = len(rows) // len(seeds)  # each seed's rows hold every cell, in the same order
@@ -263,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="confidence-split a target training CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--target-train", required=True)
-    p.add_argument("--p-th", type=float, default=0.9)
+    p.add_argument("--p-th", type=float, default=TrainConfig().p_th)
     p.add_argument("--ground-truth", help="labeled target-train CSV, diagnostics only")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")

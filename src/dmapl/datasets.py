@@ -90,6 +90,9 @@ class DomainShiftSpec:
             raise ValueError("feature_dim must be >= 1")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be >= 1")
+        if not all(map(math.isfinite, (self.noise_sigma, self.class_separation,
+                                       *self.shift_translation))):
+            raise ValueError("noise_sigma, class_separation and shift_translation must be finite")
         if self.noise_sigma <= 0:
             raise ValueError("noise_sigma must be > 0")
         if not (0 <= self.shift_rotation_deg < 360):

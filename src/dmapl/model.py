@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +46,16 @@ class ModelConfig:
         if any(d < 1 for d in dims):
             raise ValueError("all layer dims must be >= 1")
 
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Name -> shape of every parameter, in declared order: per layer
-        (encoder layers, bottleneck, classifier) a (fan_in, fan_out) weight
-        `<layer>.W` and a (fan_out,) bias `<layer>.b`."""
+    def param_shapes(self) -> dict[str, tuple[int, int]]:
+        """Name -> (rows, cols) of every parameter, in declared order: per
+        layer (encoder layers, bottleneck, classifier) a (fan_in, fan_out)
+        weight `<layer>.W` and a one-row (1, fan_out) bias `<layer>.b`."""
         dims = (self.input_dim, *self.hidden_dims, self.bottleneck_dim, self.num_classes)
         layers = [f"enc{i}" for i in range(len(self.hidden_dims))] + ["bottleneck", "classifier"]
-        shapes: dict[str, tuple[int, ...]] = {}
+        shapes: dict[str, tuple[int, int]] = {}
         for layer, fan_in, fan_out in zip(layers, dims, dims[1:]):
             shapes[f"{layer}.W"] = (fan_in, fan_out)
-            shapes[f"{layer}.b"] = (fan_out,)
+            shapes[f"{layer}.b"] = (1, fan_out)
         return shapes
 
 
@@ -66,8 +65,9 @@ def _glorot(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(config: ModelConfig) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-    """(name, start, stop, shape) of every parameter in a cell's row of `flat`."""
+def _layout(config: ModelConfig) -> tuple[tuple[str, int, int, tuple[int, int]], ...]:
+    """(name, start, stop, (rows, cols)) of every parameter in a cell's row of
+    `flat`, in declared order; a model file holds the blocks in this order."""
     layout, start = [], 0
     for name, shape in config.param_shapes().items():
         layout.append((name, start, start + math.prod(shape), shape))
@@ -78,7 +78,7 @@ def _layout(config: ModelConfig) -> tuple[tuple[str, int, int, tuple[int, ...]],
 def _views(flat: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
     """Name -> view of the (K, P) buffer `flat`: weights (K, fan_in, fan_out),
     biases (K, 1, fan_out) so they broadcast over batch rows."""
-    return {name: flat[:, start:stop].reshape(len(flat), -1, shape[-1])
+    return {name: flat[:, start:stop].reshape(len(flat), *shape)
             for name, start, stop, shape in _layout(config)}
 
 
@@ -117,17 +117,14 @@ class Model:
 
     FORMAT_VERSION = 1
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray] | None = None,
-                 flat: np.ndarray | None = None):
-        """Copy `params`, shaped as `config.param_shapes()` gives them, into
-        a new one-cell buffer, or adopt the (K, P) `flat` as the buffer."""
-        if flat is None:
-            for name, shape in config.param_shapes().items():
-                if np.shape(params[name]) != shape:
-                    raise ValueError(
-                        f"parameter '{name}' has shape {np.shape(params[name])}, expected {shape}")
-            flat = np.concatenate([np.ravel(params[name]) for name in config.param_shapes()],
-                                  dtype=np.float64)[None]
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        """Adopt `flat`, a (K >= 1, P) float64 buffer laid out as
+        `_layout(config)` gives a row, as the parameters of K cells."""
+        size, shape = _layout(config)[-1][2], np.shape(flat)
+        if (len(shape) != 2 or shape[0] < 1 or shape[1] != size
+                or getattr(flat, "dtype", None) != np.float64):
+            raise ValueError(f"expected a (K >= 1, {size}) float64 parameter buffer, got "
+                             f"shape {shape} of {getattr(flat, 'dtype', type(flat).__name__)}")
         self.config = config
         self.flat = flat
         self.params = _views(flat, config)
@@ -137,23 +134,25 @@ class Model:
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "Model":
         """One cell: Glorot-uniform weights, zero biases, drawn from the given rng."""
-        params = {name: _glorot(*shape, rng) if len(shape) == 2 else np.zeros(shape)
-                  for name, shape in config.param_shapes().items()}
-        return cls(config, params)
+        model = cls(config, np.zeros((1, _layout(config)[-1][2])))
+        for name, param in model.params.items():
+            if name.endswith(".W"):
+                param[0] = _glorot(*param.shape[1:], rng)
+        return model
 
     def copy(self) -> "Model":
-        return Model(self.config, flat=self.flat.copy())
+        return Model(self.config, self.flat.copy())
 
     @classmethod
     def stack(cls, models: list["Model"]) -> "Model":
         """The cells of models of one architecture, in order, as one stack.
         `forward`, `backward` and `SgdMomentum` work on all cells at once,
         each cell computing exactly what its one-cell model would."""
-        return cls(models[0].config, flat=np.concatenate([m.flat for m in models]))
+        return cls(models[0].config, np.concatenate([m.flat for m in models]))
 
     def cell(self, k: int) -> "Model":
         """Cell `k`, as a one-cell model."""
-        return Model(self.config, flat=self.flat[k:k + 1].copy())
+        return Model(self.config, self.flat[k:k + 1].copy())
 
     def forward(self, batch: np.ndarray) -> Activations:
         """Forward a (n, input_dim) batch through every cell: features,
@@ -220,20 +219,17 @@ class Model:
 
 
 def cosine_lr(t: int, total_steps: int, eta_0: float, eta_1: float) -> float:
-    """eta_1 + 0.5 (eta_0 - eta_1)(1 + cos(t pi / N)); t past N clamps to eta_1."""
+    """eta_1 + 0.5 (eta_0 - eta_1)(1 + cos(t pi / N)); every t >= N gives eta_1."""
     if total_steps < 1:
         raise ValueError("total_steps must be >= 1")
     if not (eta_0 >= eta_1 > 0):
         raise ValueError("need eta_0 >= eta_1 > 0")
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t > total_steps:
-        warnings.warn("cosine_lr called past the schedule end; clamping to eta_1")
-        return eta_1
     # endpoints returned exactly (cos(0)=1, cos(pi)=-1 make the formula collapse)
     if t == 0:
         return eta_0
-    if t == total_steps:
+    if t >= total_steps:
         return eta_1
     return eta_1 + 0.5 * (eta_0 - eta_1) * (1.0 + math.cos(t * math.pi / total_steps))
 
@@ -261,7 +257,7 @@ class SgdMomentum:
             self._decay[:, start:stop] = weight_decay if name.endswith(".W") else 0.0
 
     def lr_at(self, t: int) -> float:
-        return cosine_lr(min(t, self.total_steps), self.total_steps, self.eta_0, self.eta_1)
+        return cosine_lr(t, self.total_steps, self.eta_0, self.eta_1)
 
     def step(self, model: Model, grads: Gradients, t: int) -> None:
         """One update of every parameter from `Model.backward`'s gradients.
@@ -300,10 +296,9 @@ def save_model(model: Model, path: str) -> None:
         fh.write(f"bottleneck_dim {cfg.bottleneck_dim}\n")
         fh.write(f"num_classes {cfg.num_classes}\n")
         fh.write("activation relu\n")
-        for name, (arr,) in model.params.items():
-            rows, cols = arr.shape
+        for name, _, _, (rows, cols) in _layout(cfg):
             fh.write(f"param {name} {rows} {cols}\n")
-            textio.write_rows(fh, [arr], [textio.FLOAT], textio.ROWS)
+            textio.write_rows(fh, [model.params[name][0]], [textio.FLOAT], textio.ROWS)
 
 
 def load_model(path: str) -> Model:
@@ -341,29 +336,18 @@ def load_model(path: str) -> Model:
     if header.get("activation", "relu") != "relu":
         raise ModelFormatError(f"{path}: unsupported activation {header.get('activation')!r}")
 
-    shapes = config.param_shapes()
-    params: dict[str, np.ndarray] = {}
-    while i < len(lines):
-        parts = lines[i].split()
-        if len(parts) != 4 or parts[0] != "param":
-            raise ModelFormatError(f"{path}: line {i + 1}: expected a param header")
-        name = parts[1]
-        if name not in shapes:
-            raise ModelFormatError(
-                f"{path}: line {i + 1}: parameter '{name}' is not in architecture {list(shapes)}")
-        try:
-            rows, cols = int(parts[2]), int(parts[3])
-        except ValueError:
-            raise ModelFormatError(f"{path}: line {i + 1}: bad parameter shape") from None
-        shape = shapes[name]
-        if (rows, cols) != (shape if len(shape) == 2 else (1, *shape)):
-            raise ModelFormatError(
-                f"{path}: parameter '{name}' has shape ({rows}, {cols}), expected {shape}")
+    # the blocks come in `_layout` order, each under exactly the header save_model
+    # writes; they are joined only at the end, so a corrupt header cannot make the
+    # loader allocate more than the file holds
+    blocks = []
+    for name, _, _, (rows, cols) in _layout(config):
+        expected = f"param {name} {rows} {cols}"
+        if i >= len(lines) or lines[i] != expected:
+            raise ModelFormatError(f"{path}: line {i + 1}: expected '{expected}'")
         block = lines[i + 1:i + 1 + rows]
         if len(block) < rows:
             raise ModelFormatError(f"{path}: truncated parameter block '{name}'")
-        # a row of `cols` floats is parsed only once the file shows that many values,
-        # so a corrupt header cannot make the parser allocate more than the file holds
+        # a row of `cols` floats is parsed only once the file shows that many values
         if len(block[0].split()) != cols:
             raise ModelFormatError(f"{path}: line {i + 2}: expected {cols} values in '{name}'")
         try:
@@ -372,11 +356,8 @@ def load_model(path: str) -> Model:
             raise ModelFormatError(f"{path}: {exc} in '{name}'") from None
         if len(values) != rows:
             raise ModelFormatError(f"{path}: blank line in parameter block '{name}'")
-        params[name] = values.reshape(shape)
+        blocks.append(values.ravel())
         i += rows + 1
-
-    if list(params.keys()) != list(shapes):
-        raise ModelFormatError(
-            f"{path}: parameter blocks {list(params.keys())} do not match architecture {list(shapes)}")
-    return Model(config, params)
-
+    if i < len(lines):
+        raise ModelFormatError(f"{path}: line {i + 1}: expected the end of the file")
+    return Model(config, np.concatenate(blocks)[None])

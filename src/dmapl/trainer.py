@@ -61,6 +61,18 @@ class TrainConfig:
     bottleneck_dim: int = 8
 
     def __post_init__(self) -> None:
+        floats = {"p_th": self.p_th, "alpha": self.alpha, "beta": self.beta, "lambda": self.lam,
+                  "eta_0": self.eta_0, "eta_1": self.eta_1, "momentum": self.momentum,
+                  "weight_decay": self.weight_decay}
+        for key, value in floats.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+        counts = (self.seed, self.source_epochs, self.adapt_epochs, self.batch_size_l,
+                  self.batch_size_u, self.bottleneck_dim, *self.hidden_dims)
+        if not all(isinstance(n, (int, np.integer)) for n in counts):
+            raise ValueError("seed, epoch counts, batch sizes and layer widths must be integers")
+        if min(self.bottleneck_dim, *self.hidden_dims) < 1:
+            raise ValueError("bottleneck_dim and hidden_dims must be >= 1")
         if not (0.0 < self.p_th < 1.0):
             raise ValueError("p_th must be in (0, 1)")
         if not (0.0 < self.alpha < 1.0):
@@ -97,7 +109,7 @@ class TrainConfig:
                 hd = [int(x) for x in hd.split(",") if x.strip()]
             elif isinstance(hd, int):
                 hd = [hd]
-            d["hidden_dims"] = tuple(int(x) for x in hd)
+            d["hidden_dims"] = tuple(hd)
         unknown = set(d) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -585,7 +597,11 @@ def _sweep_one_seed(args: tuple) -> list[dict]:
 def _grid_cells(base_config: TrainConfig, grid) -> list[tuple[list[str], tuple]]:
     """Check one grid or a list of grids, and the config of every cell;
     return the (grid keys, cell values) pairs in (grid, cell) order."""
-    grids = [grid] if isinstance(grid, dict) else list(grid)
+    grids = grid if isinstance(grid, list) else [grid]
+    if not all(isinstance(g, dict) and all(isinstance(v, list) for v in g.values())
+               for g in grids):
+        raise ValueError("a grid must map parameter names to value lists; "
+                         "expected one grid or a list of grids")
     if not grids or not all(grids):
         raise ValueError("empty grid")
     for g in grids:

@@ -391,10 +391,12 @@ def test_empty_seeds_rejected_before_training(command, tmp_path, monkeypatch, ca
 
 
 # "@name" stands for a path the test fills in; a dict or a list is written as the
-# grid file, and a "sweep-grid-*" row's error must name that file; "@tiny" is a
-# spec whose classes are too small for the benchmark's two splits
+# grid file, and a "sweep-grid-*" row's error must name that file; a "key = value"
+# string is written as a flat config or spec file
+TRAIN = ("train-source", "--train", "@source", "--val", "@source")
 BAD_INPUTS = {
     "sweep-grid-value": ("sweep", "--grid", {"alpha": [2.0]}),
+    "sweep-grid-scalar": ("sweep", "--grid", {"alpha": 0.5}),
     "sweep-grid-key": ("sweep", "--grid", {"gamma": [1]}),
     "sweep-grid-empty-list": ("sweep", "--grid", []),
     "sweep-grid-empty-grid": ("sweep", "--grid", [{"alpha": [0.5]}, {}]),
@@ -406,9 +408,21 @@ BAD_INPUTS = {
     "split": ("split", "--model", "@model", "--target-train", "@data",
               "--ground-truth", "@missing"),
     "split-p-th": ("split", "--model", "@model", "--target-train", "@data", "--p-th", 1.5),
-    "gen-data-tiny-spec": ("gen-data", "--spec", "@tiny"),
-    "ablate-tiny-spec": ("ablate", "--spec", "@tiny", "--seeds", "0"),
-    "sweep-tiny-spec": ("sweep", "--grid", {"alpha": [0.5]}, "--spec", "@tiny"),
+    "gen-data-tiny-spec": ("gen-data", "--spec", "samples_per_class = 2"),
+    "ablate-tiny-spec": ("ablate", "--spec", "samples_per_class = 2", "--seeds", "0"),
+    "sweep-tiny-spec": ("sweep", "--grid", {"alpha": [0.5]}, "--spec", "samples_per_class = 2"),
+    "gen-data-nan-noise": ("gen-data", "--spec", "noise_sigma = nan"),
+    "gen-data-nan-separation": ("gen-data", "--spec", "class_separation = nan"),
+    "gen-data-nan-translation": ("gen-data", "--spec", 'shift_translation = "1,nan"'),
+    "train-source-nan-decay": (*TRAIN, "--weight-decay", "nan"),
+    "adapt-inf-lambda": ("adapt", "--source-model", "@model", "--target-train", "@data",
+                         "--lambda", "inf"),
+    "train-source-zero-hidden": (*TRAIN, "--hidden-dims", 0),
+    "train-source-zero-bottleneck": (*TRAIN, "--bottleneck-dim", 0),
+    "train-source-float-epochs": (*TRAIN, "--config", "source_epochs = 2.5"),
+    "train-source-float-batch": (*TRAIN, "--config", "batch_size_l = 1.5"),
+    "train-source-float-bottleneck": (*TRAIN, "--config", "bottleneck_dim = 2.5"),
+    "train-source-float-seed": (*TRAIN, "--config", "seed = 1.5"),
 }
 
 
@@ -417,14 +431,16 @@ def test_bad_input_fails_before_out_is_made(name, data_dir, source_dir, tmp_path
                                             capsys):
     calls = counting_train_source(monkeypatch)
     paths = {"@model": source_dir / "source_model.txt", "@data": data_dir / "target_train.csv",
-             "@missing": tmp_path / "missing.csv", "@tiny": tmp_path / "tiny.txt"}
-    paths["@tiny"].write_text("samples_per_class = 2\n")
-    grid = tmp_path / "grid.json"
+             "@source": data_dir / "source_train.csv", "@missing": tmp_path / "missing.csv"}
+    grid, flat = tmp_path / "grid.json", tmp_path / "flat.txt"
     argv = []
     for arg in BAD_INPUTS[name]:
         if isinstance(arg, (dict, list)):
             grid.write_text(json.dumps(arg))
             arg = grid
+        elif isinstance(arg, str) and " = " in arg:
+            flat.write_text(arg + "\n")
+            arg = flat
         argv.append(paths.get(arg, arg))
     assert run_cli(*argv, "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err

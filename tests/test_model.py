@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -6,6 +10,8 @@ import pytest
 from dmapl.model import (DivergenceError, Gradients, Model, ModelConfig, ModelFormatError,
                          SgdMomentum, cosine_lr, load_model, save_model)
 from dmapl.numkit import make_rng, softmax
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def small_model(seed=0, input_dim=3, hidden=(5, 4), bottleneck=3, classes=3):
@@ -130,11 +136,10 @@ def test_cosine_lr_monotone_nonincreasing():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def test_cosine_lr_past_end_clamps_with_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cosine_lr(150, 100, 1e-2, 1e-3) == 1e-3
-    assert any("clamping" in str(w.message) for w in caught)
+def test_cosine_lr_past_end_is_eta_1_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cosine_lr(100 + 5, 100, 1e-2, 1e-3) == 1e-3
 
 
 def test_cosine_lr_validation():
@@ -237,8 +242,64 @@ def test_load_bad_param_header_raises_format_error(tmp_path):
     text = path.read_text()
     assert "param enc0.W 3 5\n" in text
     path.write_text(text.replace("param enc0.W 3 5\n", "param enc0.W x 5\n"))
-    with pytest.raises(ModelFormatError, match="line 7: bad parameter shape"):
+    with pytest.raises(ModelFormatError, match="line 7: expected 'param enc0.W 3 5'"):
         load_model(str(path))
+
+
+def _swap_first_two_blocks(lines):
+    # enc0.W (header and 3 rows) and enc0.b (header and 1 row) sit at lines 7-12
+    return lines[:6] + lines[10:12] + lines[6:10] + lines[12:]
+
+
+def _replace(old, new):
+    return lambda lines: [line.replace(old, new) for line in lines]
+
+
+# an edit of a saved small_model() file (33 lines), the line it breaks and
+# what the loader expected there
+MALFORMED = {
+    "renamed-block": (_replace("enc1.b", "enc1.bias"), 19, "'param enc1.b 1 4'"),
+    "swapped-blocks": (_swap_first_two_blocks, 7, "'param enc0.W 3 5'"),
+    "missing-last-block": (lambda lines: lines[:-2], 32, "'param classifier.b 1 3'"),
+    "wrong-row-count": (_replace("enc1.W 5 4", "enc1.W 4 4"), 13, "'param enc1.W 5 4'"),
+    "leading-zero": (_replace("enc0.W 3 5", "enc0.W 03 5"), 7, "'param enc0.W 3 5'"),
+    "trailing-text": (lambda lines: lines + ["param extra 1 1", "0"], 34, "the end of the file"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_load_names_the_header_each_block_must_start_with(tmp_path, case):
+    path = tmp_path / "m.txt"
+    save_model(small_model(), str(path))
+    edit, line, expected = MALFORMED[case]
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ModelFormatError) as info:
+        load_model(str(path))
+    assert str(info.value) == f"{path}: line {line}: expected {expected}"
+
+
+def test_load_allocates_nothing_a_corrupt_header_declares(tmp_path):
+    # a header declaring 1e9 x 1e9 weights over a one-line block fails as truncated
+    # under a 1 GiB address-space limit, so nothing sized by the header was allocated
+    path = tmp_path / "huge.txt"
+    path.write_text("dmapl-model v1\ninput_dim 1000000000\nhidden_dims 1000000000\n"
+                    "bottleneck_dim 2\nnum_classes 2\nactivation relu\n"
+                    "param enc0.W 1000000000 1000000000\n0 0\n")
+    script = textwrap.dedent(f"""
+        import resource
+        from dmapl.model import ModelFormatError, load_model
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        try:
+            load_model({str(path)!r})
+        except ModelFormatError as exc:
+            print("ModelFormatError", exc)
+    """)
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ModelFormatError") and "truncated" in proc.stdout
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

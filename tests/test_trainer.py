@@ -47,6 +47,10 @@ def test_config_validation():
         TrainConfig(mode="bogus")
     with pytest.raises(ValueError):
         TrainConfig(eta_0=1e-4, eta_1=1e-3)
+    with pytest.raises(ValueError, match="must be integers"):
+        TrainConfig.from_dict({"hidden_dims": [2.5]})
+    # huge finite values stay legal: tests force divergence with them
+    assert TrainConfig(lam=1e30, eta_0=1e300).lam == 1e30
 
 
 def test_config_dict_round_trip_uses_lambda_key():
@@ -292,6 +296,9 @@ def test_sweep_validates_grid():
         sweep(spec, TrainConfig(), {"momentum": [0.5]})
     with pytest.raises(ValueError, match="empty grid axis"):
         sweep(spec, TrainConfig(), {"p_th": []})
+    for grid in ({"alpha": 0.5}, [{"alpha": [0.5]}, "x"]):
+        with pytest.raises(ValueError, match="a grid must map parameter names to value lists"):
+            sweep(spec, TrainConfig(), grid)
 
 
 def test_sweep_rejects_empty_seed_list_before_training(monkeypatch):
