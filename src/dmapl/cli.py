@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train-source, split, adapt, eval, ablate, sweep.
+Subcommands: gen-data, train-source, split, adapt, eval, sweep. The ablation
+is a sweep over `mode` (grids/ablation.json).
 Every command resolves its full config (defaults + file + flags) and loads
 its input files before it makes the output directory, then writes the config
 there before any training. Every command is deterministic under a fixed
@@ -19,7 +20,6 @@ import json
 import os
 import statistics
 import sys
-from dataclasses import replace
 
 from .configio import (ConfigError, format_flat_config,
                        shift_spec_from_sources, train_config_from_sources)
@@ -29,7 +29,7 @@ from .model import load_model, save_model
 from .numkit import DmaplError
 from .splitter import save_split_csv, split_diagnostics, split_target
 from .trainer import (MODES, SPLIT_RATIO, VAL_FRACTION, TrainConfig, _grid_cells, _sweep_work,
-                      _unwrap, adapt, prepare_benchmark, run_experiment, sweep, train_source)
+                      adapt, prepare_benchmark, sweep, train_source)
 
 
 def _prepare_out_dir(path: str, force: bool) -> None:
@@ -173,34 +173,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    base_config = _config_from_args(args)
-    spec = shift_spec_from_sources(args.spec, {})
-    # every run's config is checked before anything is written or trained
-    modes = MODES if args.modes is None else args.modes.split(",")
-    per_seed = [[replace(base_config, mode=mode, seed=seed) for mode in modes]
-                for seed in _parse_seeds(args.seeds)]
-    _prepare_out_dir(args.out, args.force)
-    _write_resolved_config(args.out, {**base_config.to_dict(), "seeds": args.seeds})
-    results = []
-    for configs in per_seed:  # one source model per seed, shared by every mode
-        outcomes = run_experiment(replace(spec, seed=configs[0].seed), configs)
-        results.append([_unwrap(outcome) for outcome in outcomes])  # the first error exits 1
-    rows = [{"mode": r["mode"], "seed": r["seed"], "test_micro": r["test_micro"],
-             "test_macro": r["test_macro"], "source_test_micro": r["source_test_micro"]}
-            for per_mode in zip(*results) for r in per_mode]
-    _write_table(os.path.join(args.out, "ablation.csv"), rows, list(rows[0]))
-    means = {}
-    for mode in {r["mode"] for r in rows}:
-        vals = [r["test_micro"] for r in rows if r["mode"] == mode]
-        means[mode] = statistics.mean(vals)
-    with open(os.path.join(args.out, "ablation_summary.json"), "w") as fh:
-        fh.write(json.dumps(means, sort_keys=True) + "\n")
-    for mode in sorted(means, key=means.get):
-        print(f"{mode:>22s}  mean test accuracy {100 * means[mode]:6.2f}%")
-    return 0
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     base_config = _config_from_args(args)
     spec = shift_spec_from_sources(args.spec, {})
@@ -213,7 +185,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"{args.grid}: {exc}") from None
     seeds = _parse_seeds(args.seeds)
-    _sweep_work(spec, base_config, grid, seeds, args.jobs)  # --jobs and the mode, before --out
+    _sweep_work(spec, base_config, grid, seeds, args.jobs)  # checks --jobs before --out
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, {**base_config.to_dict(), "seeds": args.seeds})
     with open(os.path.join(args.out, "grid.json"), "w") as fh:
@@ -224,15 +196,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _write_table(os.path.join(args.out, "sweep.csv"), rows,
                  keys + ["ratio", "pl_acc", "test_acc", "seed", "error"])
     width = len(rows) // len(seeds)  # each seed's rows hold every cell, in the same order
+    failed = []
     for cell_rows in zip(*(rows[i:i + width] for i in range(0, len(rows), width))):
         ok = [r for r in cell_rows if r["error"] is None]
-        means = [f"{field} {statistics.mean(r[field] for r in ok):.{3 if field == 'ratio' else 4}f}"
-                 if ok else f"{field} -" for field in ("ratio", "pl_acc", "test_acc")]
-        print("  ".join([f"{k} {v}" for k, v in cell_rows[0].items() if k in keys]
-                        + means + [f"n_ok {len(ok)}"]))
+        means = []
+        for field in ("ratio", "pl_acc", "test_acc"):  # a mode without a split has no ratio
+            vals = [r[field] for r in ok if r[field] is not None]
+            means.append(f"{field} {statistics.mean(vals):.{3 if field == 'ratio' else 4}f}"
+                         if vals else f"{field} -")
+        cell = "  ".join(f"{k} {v}" for k, v in cell_rows[0].items() if k in keys)
+        print("  ".join([cell, *means, f"n_ok {len(ok)}"]))
+        if not ok:
+            failed.append(cell)
     n_ok = sum(r["error"] is None for r in rows)
     print(f"{n_ok}/{len(rows)} cells succeeded; table written to {args.out}/sweep.csv")
-    return 0
+    for cell in failed:
+        print(f"error: cell failed on every seed: {cell}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 @functools.cache
@@ -280,15 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--force", action="store_true")
 
-    p = sub.add_parser("ablate", help="run the ablation modes on the synthetic benchmark")
-    p.add_argument("--spec", help="benchmark spec file")
-    p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--modes", help="comma-separated subset of modes (default all)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
-    _add_config_flags(p)
-
-    p = sub.add_parser("sweep", help="hyperparameter sweep on the synthetic benchmark")
+    p = sub.add_parser("sweep", help="sweep configs (the ablation's modes, the paper's "
+                                     "hyperparameter grids) on the synthetic benchmark")
     p.add_argument("--grid", required=True,
                    help="JSON file: {param: [values...]} or a list of such grids")
     p.add_argument("--spec", help="benchmark spec file")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .numkit import DmaplError, make_rng
+from .numkit import DmaplError, is_integer, make_rng
 
 
 class CsvFormatError(DmaplError):
@@ -84,15 +84,21 @@ class DomainShiftSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(map(is_integer, (self.num_classes, self.feature_dim, self.samples_per_class,
+                                    self.seed))):
+            raise ValueError("num_classes, feature_dim, samples_per_class and seed must be "
+                             "integers")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be >= 1")
-        if not all(map(math.isfinite, (self.noise_sigma, self.class_separation,
-                                       *self.shift_translation))):
-            raise ValueError("noise_sigma, class_separation and shift_translation must be finite")
+        floats = (self.noise_sigma, self.class_separation, self.shift_rotation_deg,
+                  *self.shift_translation)
+        if any(isinstance(v, bool) for v in floats) or not all(map(math.isfinite, floats)):
+            raise ValueError("noise_sigma, class_separation, shift_rotation_deg and "
+                             "shift_translation must be finite numbers")
         if self.noise_sigma <= 0:
             raise ValueError("noise_sigma must be > 0")
         if not (0 <= self.shift_rotation_deg < 360):

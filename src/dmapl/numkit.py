@@ -16,6 +16,11 @@ class DmaplError(Exception):
     """Base class for the package's domain errors (CLI maps these to exit 1)."""
 
 
+def is_integer(value) -> bool:
+    """Whether `value` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; same seed, same draw sequence on every platform."""
     return np.random.Generator(np.random.PCG64(seed))

@@ -27,7 +27,7 @@ from .datasets import Dataset, DomainShiftSpec, generate_domain_pair, stratified
 from .evaluation import evaluate
 from .losses import labeled_ce, soft_ce
 from .model import DivergenceError, Model, ModelConfig, SgdMomentum
-from .numkit import DmaplError, l2_normalize_rows, make_rng
+from .numkit import DmaplError, is_integer, l2_normalize_rows, make_rng
 from .pseudolabel import CentroidBank, SoftLabelStore, class_feature_means
 from .splitter import SplitResult, split_diagnostics, split_target
 
@@ -65,11 +65,11 @@ class TrainConfig:
                   "eta_0": self.eta_0, "eta_1": self.eta_1, "momentum": self.momentum,
                   "weight_decay": self.weight_decay}
         for key, value in floats.items():
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{key} must be a finite number, got {value}")
         counts = (self.seed, self.source_epochs, self.adapt_epochs, self.batch_size_l,
                   self.batch_size_u, self.bottleneck_dim, *self.hidden_dims)
-        if not all(isinstance(n, (int, np.integer)) for n in counts):
+        if not all(map(is_integer, counts)):
             raise ValueError("seed, epoch counts, batch sizes and layer widths must be integers")
         if min(self.bottleneck_dim, *self.hidden_dims) < 1:
             raise ValueError("bottleneck_dim and hidden_dims must be >= 1")
@@ -567,7 +567,7 @@ def run_experiment(spec: DomainShiftSpec, config: TrainConfig | list[TrainConfig
     return _unwrap(outcomes[0]) if isinstance(config, TrainConfig) else outcomes
 
 
-SWEEPABLE = ("p_th", "alpha", "beta", "lambda")
+SWEEPABLE = ("mode", "p_th", "alpha", "beta", "lambda")
 
 
 def _cell_config(base: TrainConfig, keys: list[str], cell: tuple) -> TrainConfig:
@@ -588,7 +588,8 @@ def _sweep_one_seed(args: tuple) -> list[dict]:
         if isinstance(result, DmaplError):
             row.update(ratio=None, pl_acc=None, test_acc=None, error=str(result))
         else:
-            row.update(ratio=result["split"]["ratio"], pl_acc=result["split"]["pl_accuracy"],
+            split = result["split"] or {}  # a mode other than dmapl makes no split
+            row.update(ratio=split.get("ratio"), pl_acc=split.get("pl_accuracy"),
                        test_acc=result["test_micro"], error=None)
         rows.append(row)
     return rows
@@ -620,8 +621,6 @@ def _sweep_work(spec: DomainShiftSpec, base_config: TrainConfig, grid, seeds, jo
     """Check `sweep`'s arguments and every cell's config; return per seed its
     spec, its (grid keys, cell values) pairs and their configs."""
     cells = _grid_cells(base_config, grid)
-    if base_config.mode != "dmapl":
-        raise ValueError("sweep runs the dmapl mode")
     if seeds is None:
         seeds = [base_config.seed]
     if not seeds:

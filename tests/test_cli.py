@@ -190,7 +190,7 @@ NON_DEFAULT_CONFIG = {"p_th": 0.8, "alpha": 0.7, "beta": 0.6, "lambda": 0.5, "et
                       "mode": "soft_label_no_split", "hidden_dims": "16,8", "bottleneck_dim": 4}
 
 
-@pytest.mark.parametrize("command", ["train-source", "adapt", "ablate", "sweep"])
+@pytest.mark.parametrize("command", ["train-source", "adapt", "sweep"])
 def test_every_config_key_has_a_flag(command, data_dir, source_dir, tmp_path, monkeypatch):
     expected = TrainConfig.from_dict(NON_DEFAULT_CONFIG)
     assert set(NON_DEFAULT_CONFIG) == set(TrainConfig().to_dict())
@@ -200,17 +200,15 @@ def test_every_config_key_has_a_flag(command, data_dir, source_dir, tmp_path, mo
     def stop(*args, **kwargs):  # each command stops after writing its resolved config
         raise DmaplError("stopped")
 
-    for name in ("train_source", "adapt", "run_experiment", "sweep"):
+    for name in ("train_source", "adapt", "sweep"):
         monkeypatch.setattr(dmapl.cli, name, stop)
-    # the sweep's own checks reject the non-default mode before --out is made
-    monkeypatch.setattr(dmapl.cli, "_sweep_work", lambda *args: None)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"alpha": [0.5]}))
     inputs = {"train-source": ("--train", data_dir / "source_train.csv",
                                "--val", data_dir / "source_val.csv"),
               "adapt": ("--source-model", source_dir / "source_model.txt",
                         "--target-train", data_dir / "target_train.csv"),
-              "ablate": (), "sweep": ("--grid", grid)}
+              "sweep": ("--grid", grid)}
     flags = [arg for key, value in NON_DEFAULT_CONFIG.items()
              for arg in ("--" + key.replace("_", "-"), value)]
     out = tmp_path / "out"
@@ -263,9 +261,11 @@ def test_eval_missing_model_is_domain_error(tmp_path, capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        run_cli("adapt")  # missing required flags
-    assert exc.value.code == 2
+    for argv in (["adapt"],  # missing required flags
+                 ["ablate", "--out", "o"]):  # the ablation is a sweep over grids/ablation.json
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
 
 
 def test_sweep_cli(data_dir, tmp_path):
@@ -274,11 +274,14 @@ def test_sweep_cli(data_dir, tmp_path):
     spec = tmp_path / "spec.txt"
     spec.write_text("samples_per_class = 60\n")
     out = tmp_path / "sweep"
+    # no target row clears 0.9 with this 6-epoch source model: the table is
+    # still written, and the cell that failed on every seed makes the exit 1
     assert run_cli("sweep", "--grid", grid, "--spec", spec, "--out", out,
-                   "--seeds", "0", "--source-epochs", 6, "--adapt-epochs", 2) == 0
+                   "--seeds", "0", "--source-epochs", 6, "--adapt-epochs", 2) == 1
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "p_th,ratio,pl_acc,test_acc,seed,error"
     assert len(lines) == 3
+    assert lines[1].endswith(",0,") and "no confident instances" in lines[2]
 
 
 def test_sweep_cli_runs_the_paper_grids_in_one_call(tmp_path, monkeypatch, capsys):
@@ -321,33 +324,56 @@ def test_sweep_cli_malformed_grid(tmp_path, capsys):
     assert "malformed grid" in capsys.readouterr().err
 
 
-def test_ablate_cli(tmp_path, monkeypatch):
+def test_sweep_cli_ablation_grid(tmp_path, monkeypatch, capsys):
     calls = counting_train_source(monkeypatch, pass_through=True)
     spec = tmp_path / "spec.txt"
     spec.write_text("samples_per_class = 60\n")
-    out = tmp_path / "ablate"
-    assert run_cli("ablate", "--spec", spec, "--seeds", "0,1", "--out", out,
-                   "--modes", "source_only,dmapl", "--p-th", 0.7,
+    out = tmp_path / "ablation"
+    assert run_cli("sweep", "--grid", os.path.join(ROOT, "grids", "ablation.json"),
+                   "--spec", spec, "--seeds", "0,1", "--out", out, "--p-th", 0.7,
                    "--source-epochs", 6, "--adapt-epochs", 2) == 0
-    rows = (out / "ablation.csv").read_text().strip().splitlines()
-    assert len(rows) == 5  # header + 2 modes x 2 seeds
-    assert [row.split(",")[:2] for row in rows[1:]] == [
-        ["source_only", "0"], ["source_only", "1"], ["dmapl", "0"], ["dmapl", "1"]]
-    means = json.loads((out / "ablation_summary.json").read_text())
-    assert set(means) == {"source_only", "dmapl"}
-    assert len(calls) == 2  # one source model per seed
+    assert len(calls) == 2  # one source model per seed, shared by every mode
+    with open(out / "sweep.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["mode", "ratio", "pl_acc", "test_acc", "seed", "error"]
+    modes = ["source_only", "naive_pl", "soft_label_no_split", "dmapl"]
+    assert [(r["mode"], r["seed"]) for r in rows] == [(m, s) for s in "01" for m in modes]
+    assert all(r["error"] == "" and float(r["test_acc"]) > 0 for r in rows)
+    # only dmapl splits the target set
+    assert [r["mode"] for r in rows if r["ratio"] or r["pl_acc"]] == ["dmapl", "dmapl"]
+    lines = capsys.readouterr().out.splitlines()
+    for mode, line in zip(modes, lines):
+        assert line.startswith(f"mode {mode}  ratio ")
+        assert ("ratio -  pl_acc -  test_acc " in line) == (mode != "dmapl")
+    assert lines[-1] == f"8/8 cells succeeded; table written to {out}/sweep.csv"
 
 
-def test_ablate_run_error_exits_1(tmp_path, capsys):
-    # an undertrained source model leaves nothing above a 0.999 threshold
+def test_sweep_records_a_failed_run_and_goes_on(tmp_path, capsys):
+    # a threshold that the 6-epoch source model of seed 11 leaves empty, but not that of seed 0
     spec = tmp_path / "spec.txt"
     spec.write_text("samples_per_class = 60\n")
-    out = tmp_path / "ablate"
-    assert run_cli("ablate", "--spec", spec, "--seeds", "11", "--out", out,
-                   "--modes", "source_only,dmapl", "--p-th", 0.999,
-                   "--source-epochs", 1, "--adapt-epochs", 1) == 1
-    assert "no confident instances" in capsys.readouterr().err
-    assert not (out / "ablation.csv").exists()
+
+    def run(seeds):
+        out = tmp_path / seeds
+        code = run_cli("sweep", "--grid", os.path.join(ROOT, "grids", "ablation.json"),
+                       "--spec", spec, "--seeds", seeds, "--out", out, "--p-th", 0.7,
+                       "--source-epochs", 6, "--adapt-epochs", 1)
+        with open(out / "sweep.csv", newline="") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        return code, lines, capsys.readouterr().err
+
+    code, lines, err = run("11")
+    assert code == 1
+    assert lines[-1] == ("dmapl,,,,11,no confident instances at threshold 0.7; "
+                         "lower the threshold\r\n")
+    assert err == "error: cell failed on every seed: mode dmapl\n"
+    code, both, err = run("0,11")
+    assert (code, err) == (0, "")
+    assert both[-1] == lines[-1]
+    code, alone, err = run("0")
+    assert (code, err) == (0, "")
+    assert both[:5] == alone  # the header and seed 0's rows
 
 
 def test_adapt_config_with_removed_encoder_lr_scale_key_fails(data_dir, source_dir, tmp_path,
@@ -376,14 +402,13 @@ def counting_train_source(monkeypatch, pass_through=False):
     return calls
 
 
-@pytest.mark.parametrize("command", ["ablate", "sweep"])
+@pytest.mark.parametrize("command", ["sweep"])
 def test_empty_seeds_rejected_before_training(command, tmp_path, monkeypatch, capsys):
     calls = counting_train_source(monkeypatch)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"alpha": [0.5]}))
-    extra = ("--grid", grid) if command == "sweep" else ()
     for seeds in (",", "x"):
-        assert run_cli(command, *extra, "--seeds", seeds, "--out", tmp_path / "out") == 1
+        assert run_cli(command, "--grid", grid, "--seeds", seeds, "--out", tmp_path / "out") == 1
         assert capsys.readouterr().err == (f"error: bad --seeds value {seeds!r}; "
                                            "expected e.g. 0,1,2\n")
     assert calls == []
@@ -398,6 +423,8 @@ BAD_INPUTS = {
     "sweep-grid-value": ("sweep", "--grid", {"alpha": [2.0]}),
     "sweep-grid-scalar": ("sweep", "--grid", {"alpha": 0.5}),
     "sweep-grid-key": ("sweep", "--grid", {"gamma": [1]}),
+    "sweep-grid-mode": ("sweep", "--grid", {"mode": ["dmapl", "bogus"]}),
+    "sweep-grid-bool-lambda": ("sweep", "--grid", {"lambda": [True]}),
     "sweep-grid-empty-list": ("sweep", "--grid", []),
     "sweep-grid-empty-grid": ("sweep", "--grid", [{"alpha": [0.5]}, {}]),
     "sweep-grid-empty-axis": ("sweep", "--grid", {"alpha": []}),
@@ -409,8 +436,12 @@ BAD_INPUTS = {
               "--ground-truth", "@missing"),
     "split-p-th": ("split", "--model", "@model", "--target-train", "@data", "--p-th", 1.5),
     "gen-data-tiny-spec": ("gen-data", "--spec", "samples_per_class = 2"),
-    "ablate-tiny-spec": ("ablate", "--spec", "samples_per_class = 2", "--seeds", "0"),
+    "gen-data-float-samples": ("gen-data", "--spec", "samples_per_class = 3.5"),
+    "gen-data-float-dim": ("gen-data", "--spec", "feature_dim = 2.0"),
+    "gen-data-bool-classes": ("gen-data", "--spec", "num_classes = true"),
     "sweep-tiny-spec": ("sweep", "--grid", {"alpha": [0.5]}, "--spec", "samples_per_class = 2"),
+    "sweep-float-samples": ("sweep", "--grid", {"alpha": [0.5]}, "--spec",
+                            "samples_per_class = 3.5"),
     "gen-data-nan-noise": ("gen-data", "--spec", "noise_sigma = nan"),
     "gen-data-nan-separation": ("gen-data", "--spec", "class_separation = nan"),
     "gen-data-nan-translation": ("gen-data", "--spec", 'shift_translation = "1,nan"'),
@@ -423,6 +454,8 @@ BAD_INPUTS = {
     "train-source-float-batch": (*TRAIN, "--config", "batch_size_l = 1.5"),
     "train-source-float-bottleneck": (*TRAIN, "--config", "bottleneck_dim = 2.5"),
     "train-source-float-seed": (*TRAIN, "--config", "seed = 1.5"),
+    "train-source-bool-lambda": (*TRAIN, "--config", "lambda = true"),
+    "train-source-bool-hidden": (*TRAIN, "--config", "hidden_dims = true"),
 }
 
 
@@ -445,15 +478,6 @@ def test_bad_input_fails_before_out_is_made(name, data_dir, source_dir, tmp_path
     assert run_cli(*argv, "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {grid}: " if name.startswith("sweep-grid") else "error: ")
-    assert calls == []
-    assert not (tmp_path / "out").exists()
-
-
-def test_ablate_rejects_bad_mode_before_any_training(tmp_path, monkeypatch, capsys):
-    calls = counting_train_source(monkeypatch)
-    assert run_cli("ablate", "--modes", "dmapl,bogus", "--seeds", "0,1",
-                   "--out", tmp_path / "out") == 1
-    assert "mode must be one of" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "out").exists()
 

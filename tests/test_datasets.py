@@ -20,6 +20,14 @@ def test_spec_validation():
         DomainShiftSpec(feature_dim=1, shift_rotation_deg=30.0)
     with pytest.raises(ValueError):
         DomainShiftSpec(samples_per_class=0)
+    for counts in ({"samples_per_class": 3.5}, {"feature_dim": 2.0}, {"num_classes": True},
+                   {"seed": True}):
+        with pytest.raises(ValueError, match="must be integers"):
+            DomainShiftSpec(**counts)
+    assert DomainShiftSpec(seed=np.int64(3)).seed == 3
+    for floats in ({"noise_sigma": True}, {"shift_rotation_deg": True}):
+        with pytest.raises(ValueError, match="must be finite numbers"):
+            DomainShiftSpec(**floats)
 
 
 def test_class_centers_spacing():

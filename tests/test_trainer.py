@@ -49,6 +49,12 @@ def test_config_validation():
         TrainConfig(eta_0=1e-4, eta_1=1e-3)
     with pytest.raises(ValueError, match="must be integers"):
         TrainConfig.from_dict({"hidden_dims": [2.5]})
+    for key in ("hidden_dims", "seed", "source_epochs"):  # True is an int, but not a count
+        with pytest.raises(ValueError, match="must be integers"):
+            TrainConfig.from_dict({key: True})
+    for key, value in (("lambda", True), ("eta_0", True), ("momentum", False)):
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+            TrainConfig.from_dict({key: value})
     # huge finite values stay legal: tests force divergence with them
     assert TrainConfig(lam=1e30, eta_0=1e300).lam == 1e30
 
