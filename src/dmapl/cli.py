@@ -21,7 +21,7 @@ import os
 import statistics
 import sys
 
-from .configio import (ConfigError, format_flat_config,
+from .configio import (ConfigError, format_flat_config, settings_from_sources,
                        shift_spec_from_sources, train_config_from_sources)
 from .datasets import load_csv, save_csv
 from .evaluation import evaluate, format_metrics_table
@@ -66,9 +66,20 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                          **_STRING_FLAGS.get(key, {}))
 
 
-def _config_from_args(args: argparse.Namespace):
-    overrides = {key: getattr(args, key) for key in TrainConfig().to_dict()}
-    return train_config_from_sources(getattr(args, "config", None), overrides)
+def _overrides(args: argparse.Namespace) -> dict:
+    return {key: getattr(args, key) for key in TrainConfig().to_dict()}
+
+
+def _load_target_train(args: argparse.Namespace, num_classes: int):
+    """The unlabeled `--target-train` rows, and the labels of `--ground-truth`
+    (None without it), which must hold one per row."""
+    target = load_csv(args.target_train, num_classes=num_classes).without_labels()
+    truth = load_csv(args.ground_truth, num_classes=num_classes) if args.ground_truth else None
+    if truth is not None and (not truth.is_labeled or truth.n != target.n):
+        raise ValueError(f"{args.ground_truth} has {truth.n} "
+                         f"{'' if truth.is_labeled else 'un'}labeled rows; it needs a label for "
+                         f"each of the {target.n} rows of {args.target_train}")
+    return target, None if truth is None else truth.labels
 
 
 def _parse_seeds(raw: str) -> list[int]:
@@ -100,7 +111,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train_source(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config = train_config_from_sources(args.config, _overrides(args))
     train = load_csv(args.train)
     val = load_csv(args.val, num_classes=train.num_classes)
     _prepare_out_dir(args.out, args.force)
@@ -115,11 +126,8 @@ def cmd_train_source(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    data = load_csv(args.target_train, num_classes=model.config.num_classes)
-    truth = None
-    if args.ground_truth:
-        truth = load_csv(args.ground_truth, num_classes=model.config.num_classes).labels
-    result = split_target(model, data.without_labels(), args.p_th)
+    data, truth = _load_target_train(args, model.config.num_classes)
+    result = split_target(model, data, args.p_th)
     diag = split_diagnostics(result, truth)
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, {"p_th": args.p_th, "model": args.model,
@@ -132,17 +140,17 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_adapt(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     source_model = load_model(args.source_model)
-    target_train = load_csv(args.target_train,
-                            num_classes=source_model.config.num_classes).without_labels()
-    truth = None
-    if args.ground_truth:
-        truth = load_csv(args.ground_truth,
-                         num_classes=source_model.config.num_classes).labels
-    eval_data = None
-    if args.target_test:
-        eval_data = load_csv(args.target_test, num_classes=source_model.config.num_classes)
+    settings = settings_from_sources(args.config, _overrides(args))
+    for key in ("hidden_dims", "bottleneck_dim"):  # the model file fixes the architecture
+        used = getattr(source_model.config, key)
+        if settings.setdefault(key, used) != used:
+            raise ConfigError(f"{key} = {settings[key]!r} disagrees with the model file "
+                              f"{args.source_model}, which has {used!r}")
+    config = train_config_from_sources(None, settings)
+    target_train, truth = _load_target_train(args, source_model.config.num_classes)
+    eval_data = (load_csv(args.target_test, num_classes=source_model.config.num_classes)
+                 if args.target_test else None)
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, config.to_dict())
     snapshot_dir = None
@@ -174,7 +182,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base_config = _config_from_args(args)
+    base_config = train_config_from_sources(args.config, _overrides(args))
     spec = shift_spec_from_sources(args.spec, {})
     try:  # every rejection of the grid file's contents names the file
         with open(args.grid) as fh:

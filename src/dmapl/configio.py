@@ -78,14 +78,32 @@ def format_flat_config(values: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the settings whose value is a list, with the type of its elements
+_LIST_SETTINGS = {"hidden_dims": int, "shift_translation": float}
+
+
+def settings_from_sources(path: str | None, overrides: dict) -> dict:
+    """The settings of the file at `path`, if any, overridden by the non-None
+    `overrides` (CLI flags). A list setting, a comma-separated string, a lone
+    number or a sequence, becomes a tuple; a bad element is an error naming
+    the key, and the file when the value came from one."""
+    given = {k: v for k, v in overrides.items() if v is not None}
+    values = {**(load_flat_config(path) if path is not None else {}), **given}
+    for key in _LIST_SETTINGS.keys() & values.keys():
+        raw, kind = values[key], _LIST_SETTINGS[key]
+        items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+        try:
+            values[key] = tuple(kind(str(x)) for x in items if str(x).strip())
+        except ValueError:
+            raise ConfigError(f"{'' if key in given else path + ': '}{key}: expected "
+                              f"comma-separated {kind.__name__}s, got {raw!r}") from None
+    return values
+
+
 def train_config_from_sources(path: str | None, overrides: dict) -> TrainConfig:
     """Defaults, then config file, then explicit overrides (CLI flags)."""
-    values: dict = {}
-    if path is not None:
-        values.update(load_flat_config(path))
-    values.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        return TrainConfig.from_dict(values)
+        return TrainConfig.from_dict(settings_from_sources(path, overrides))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -93,15 +111,8 @@ def train_config_from_sources(path: str | None, overrides: dict) -> TrainConfig:
 def shift_spec_from_sources(path: str | None, overrides: dict) -> DomainShiftSpec:
     """The benchmark spec of a file and overrides; it must leave every class
     of the benchmark splits non-empty."""
-    values: dict = {}
-    if path is not None:
-        values.update(load_flat_config(path))
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    if "shift_translation" in values and isinstance(values["shift_translation"], str):
-        raw = values["shift_translation"]
-        values["shift_translation"] = tuple(float(x) for x in raw.split(",") if x.strip())
-    known = set(DomainShiftSpec.__dataclass_fields__)
-    unknown = set(values) - known
+    values = settings_from_sources(path, overrides)
+    unknown = set(values) - set(DomainShiftSpec.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown benchmark spec keys: {sorted(unknown)}")
     try:

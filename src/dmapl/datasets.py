@@ -88,6 +88,8 @@ class DomainShiftSpec:
                                     self.seed))):
             raise ValueError("num_classes, feature_dim, samples_per_class and seed must be "
                              "integers")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         if self.feature_dim < 1:

@@ -240,6 +240,8 @@ class SgdMomentum:
     velocity <- momentum * velocity + (grad + weight_decay * param)
     param    <- param - lr(t) * velocity
 
+    The defaults are the training recipe of every phase in `dmapl.trainer`.
+
     Velocity and weight decay are (K, P) arrays laid out like `Model.flat`,
     so the update broadcasts nothing.
     """

@@ -88,6 +88,9 @@ def split_diagnostics(split: SplitResult, true_labels: np.ndarray | None = None)
                  "threshold": split.threshold_used,
                  "pl_accuracy": None}
     if true_labels is not None:
+        if len(true_labels) != split.n_total:
+            raise ValueError(f"{len(true_labels)} ground-truth labels for a split of "
+                             f"{split.n_total} rows")
         truth = np.asarray(true_labels)[split.labeled_indices]
         out["pl_accuracy"] = float((split.pseudo_labels == truth).mean())
     return out

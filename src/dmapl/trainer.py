@@ -32,63 +32,46 @@ from .pseudolabel import CentroidBank, SoftLabelStore, class_feature_means
 from .splitter import SplitResult, split_diagnostics, split_target
 
 MODES = ("dmapl", "source_only", "naive_pl", "soft_label_no_split")
+BATCH_SIZE = 64  # rows per labeled and per unlabeled batch, in every phase
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for source training and adaptation.
-
-    Defaults are the reference values: threshold 0.9, both moving-average
-    coefficients 0.9, trade-off 1.0, cosine schedule 1e-2 -> 1e-3, SGD
-    momentum 0.9 with weight decay 1e-3, 20 epochs for either phase.
+    """What a run varies. Defaults are the reference values: threshold 0.9,
+    both moving-average coefficients 0.9, trade-off 1.0, 20 epochs for either
+    phase. The optimizer and batch size are a fixed recipe, not config:
+    `SgdMomentum`'s defaults and `BATCH_SIZE`.
     """
 
     p_th: float = 0.9
     alpha: float = 0.9
     beta: float = 0.9
     lam: float = 1.0
-    eta_0: float = 1e-2
-    eta_1: float = 1e-3
-    momentum: float = 0.9
-    weight_decay: float = 1e-3
     source_epochs: int = 20
     adapt_epochs: int = 20
-    batch_size_l: int = 64
-    batch_size_u: int = 64
     seed: int = 0
     mode: str = "dmapl"
     hidden_dims: tuple[int, ...] = (64,)
     bottleneck_dim: int = 8
 
     def __post_init__(self) -> None:
-        floats = {"p_th": self.p_th, "alpha": self.alpha, "beta": self.beta, "lambda": self.lam,
-                  "eta_0": self.eta_0, "eta_1": self.eta_1, "momentum": self.momentum,
-                  "weight_decay": self.weight_decay}
+        floats = {"p_th": self.p_th, "alpha": self.alpha, "beta": self.beta, "lambda": self.lam}
         for key, value in floats.items():
             if isinstance(value, bool) or not math.isfinite(value):
                 raise ValueError(f"{key} must be a finite number, got {value}")
-        counts = (self.seed, self.source_epochs, self.adapt_epochs, self.batch_size_l,
-                  self.batch_size_u, self.bottleneck_dim, *self.hidden_dims)
+        counts = (self.seed, self.source_epochs, self.adapt_epochs, self.bottleneck_dim,
+                  *self.hidden_dims)
         if not all(map(is_integer, counts)):
-            raise ValueError("seed, epoch counts, batch sizes and layer widths must be integers")
-        if min(self.bottleneck_dim, *self.hidden_dims) < 1:
-            raise ValueError("bottleneck_dim and hidden_dims must be >= 1")
-        if not (0.0 < self.p_th < 1.0):
-            raise ValueError("p_th must be in (0, 1)")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must be in (0, 1)")
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must be in (0, 1)")
+            raise ValueError("seed, epoch counts and layer widths must be integers")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if min(self.source_epochs, self.adapt_epochs, self.bottleneck_dim, *self.hidden_dims) < 1:
+            raise ValueError("epoch counts and layer widths must be >= 1")
+        for key in ("p_th", "alpha", "beta"):
+            if not (0.0 < getattr(self, key) < 1.0):
+                raise ValueError(f"{key} must be in (0, 1)")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
-        if not (self.eta_0 >= self.eta_1 > 0):
-            raise ValueError("need eta_0 >= eta_1 > 0")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if min(self.source_epochs, self.adapt_epochs, self.batch_size_l, self.batch_size_u) < 1:
-            raise ValueError("epochs and batch sizes must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -104,20 +87,11 @@ class TrainConfig:
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
         if "hidden_dims" in d:
-            hd = d["hidden_dims"]
-            if isinstance(hd, str):
-                hd = [int(x) for x in hd.split(",") if x.strip()]
-            elif isinstance(hd, int):
-                hd = [hd]
-            d["hidden_dims"] = tuple(hd)
+            d["hidden_dims"] = tuple(d["hidden_dims"])
         unknown = set(d) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
-
-    def model_config(self, input_dim: int, num_classes: int) -> ModelConfig:
-        return ModelConfig(input_dim=input_dim, hidden_dims=self.hidden_dims,
-                           bottleneck_dim=self.bottleneck_dim, num_classes=num_classes)
 
 
 @dataclass
@@ -190,18 +164,19 @@ def _batches(perm: np.ndarray, size: int):
         yield perm[start:start + size]
 
 
-def _fit(model: Model, config: TrainConfig, epochs: int, iters_per_epoch: int, batches, step):
-    """The SGD loop of every training phase: `epochs` passes of
-    `iters_per_epoch` momentum steps on the cosine schedule. After each epoch
-    it yields (epoch, the epoch mean of each loss, the last step's rate).
+def _fit(model: Model, epochs: int, rows: int, batches, step):
+    """The SGD loop of every training phase: `epochs` passes over `rows`
+    rows, one step of `SgdMomentum`'s recipe per batch of `BATCH_SIZE`. After
+    each epoch it yields (epoch, the epoch mean of each loss, the last step's
+    rate).
 
     The phase supplies what differs: `batches()` yields one epoch's batches,
     drawing from the phase's rng in its fixed order, and `step(batch)`
     returns the forward cache, the loss gradient on its logits and a tuple
     of per-cell loss arrays.
     """
-    opt = SgdMomentum(model, config.momentum, config.weight_decay, config.eta_0,
-                      config.eta_1, epochs * iters_per_epoch)
+    iters_per_epoch = math.ceil(rows / BATCH_SIZE)
+    opt = SgdMomentum(model, total_steps=epochs * iters_per_epoch)
     t = 0
     for epoch in range(epochs):
         sums = itertools.repeat(0.0)  # from 0.0, so a mean of -0.0 losses reads 0.0
@@ -213,14 +188,14 @@ def _fit(model: Model, config: TrainConfig, epochs: int, iters_per_epoch: int, b
         yield epoch, [s / iters_per_epoch for s in sums], opt.lr_at(t - 1)
 
 
-def _fit_hard_labels(model: Model, config: TrainConfig, epochs: int, rng: np.random.Generator,
-                     x: np.ndarray, labels_of, what: str):
+def _fit_hard_labels(model: Model, epochs: int, rng: np.random.Generator, x: np.ndarray,
+                     labels_of, what: str):
     """`_fit` with cross-entropy on hard labels, for source training and
     naive_pl: each epoch takes `labels_of()` for the rows of `x`, then makes
     one pass over them in a fresh permutation."""
     def batches():
         labels = labels_of()
-        for idx in _batches(rng.permutation(len(x)), config.batch_size_l):
+        for idx in _batches(rng.permutation(len(x)), BATCH_SIZE):
             yield x[idx], labels[idx]
 
     def step(batch):
@@ -230,7 +205,7 @@ def _fit_hard_labels(model: Model, config: TrainConfig, epochs: int, rng: np.ran
             raise DivergenceError(f"non-finite {what} loss", ~np.isfinite(loss))
         return cache, grad, (loss,)
 
-    return _fit(model, config, epochs, math.ceil(len(x) / config.batch_size_l), batches, step)
+    return _fit(model, epochs, len(x), batches, step)
 
 
 def train_source(source_train: Dataset, source_val: Dataset,
@@ -247,10 +222,11 @@ def train_source(source_train: Dataset, source_val: Dataset,
         raise ValueError("train and validation class counts differ")
     start = time.perf_counter()
     rng = make_rng(config.seed)
-    model = Model.init(config.model_config(source_train.dim, source_train.num_classes), rng)
+    model = Model.init(ModelConfig(source_train.dim, config.hidden_dims, config.bottleneck_dim,
+                                   source_train.num_classes), rng)
     record = RunRecord(config=config.to_dict(), seed=config.seed, mode="source_pretrain")
     best_acc, best_model = -1.0, None
-    for epoch, (ce,), lr in _fit_hard_labels(model, config, config.source_epochs, rng,
+    for epoch, (ce,), lr in _fit_hard_labels(model, config.source_epochs, rng,
                                              source_train.features, lambda: source_train.labels,
                                              "source training"):
         val_acc = evaluate(model, source_val).micro
@@ -309,7 +285,6 @@ def _dual_average(source_model: Model, target_train: Dataset, configs: list[Trai
     are inert in the loss. Non-finite logits, losses or gradients raise
     DivergenceError naming the cells.
     """
-    config = configs[0]
     model = Model.stack([source_model] * len(configs))
     num_classes = model.config.num_classes
     if split is None:
@@ -323,7 +298,7 @@ def _dual_average(source_model: Model, target_train: Dataset, configs: list[Trai
     store = SoftLabelStore(n_u, num_classes, [c.beta for c in configs]) if n_u else None
     lam = np.array([c.lam for c in configs])
     lam_rows = lam[:, None, None]
-    cycler = _Cycler(n_l, rng) if n_l > config.batch_size_l else None
+    cycler = _Cycler(n_l, rng) if n_l > BATCH_SIZE else None
     labeled_x = target_train.features[labeled_idx]
     unlabeled_x = target_train.features[unlabeled_idx]
     no_loss = np.zeros(len(configs))
@@ -332,11 +307,10 @@ def _dual_average(source_model: Model, target_train: Dataset, configs: list[Trai
         u_perm = rng.permutation(n_u)
         if n_u == 0:
             # degenerate all-confident case: one pass over the confident subset instead
-            for l_pos in _batches(rng.permutation(n_l), config.batch_size_l):
+            for l_pos in _batches(rng.permutation(n_l), BATCH_SIZE):
                 yield l_pos, u_perm
-        for u_pos in _batches(u_perm, config.batch_size_u):
-            yield (cycler.draw(config.batch_size_l) if cycler is not None
-                   else np.arange(n_l)), u_pos
+        for u_pos in _batches(u_perm, BATCH_SIZE):
+            yield (cycler.draw(BATCH_SIZE) if cycler is not None else np.arange(n_l)), u_pos
 
     def step(batch):
         l_pos, u_pos = batch
@@ -372,9 +346,8 @@ def _dual_average(source_model: Model, target_train: Dataset, configs: list[Trai
             raise DivergenceError("non-finite adaptation loss", ~finite)
         return cache, grad_logits, (loss_l, loss_u, total)
 
-    iters_per_epoch = (math.ceil(n_u / config.batch_size_u) if n_u
-                       else math.ceil(n_l / config.batch_size_l))
-    return model, store, _fit(model, config, config.adapt_epochs, iters_per_epoch, batches, step)
+    # an epoch is a pass over the unlabeled rows, or the confident ones if there are none
+    return model, store, _fit(model, configs[0].adapt_epochs, n_u or n_l, batches, step)
 
 
 def _adapt_group(source_model: Model, target_train: Dataset, configs: list[TrainConfig],
@@ -400,7 +373,7 @@ def _adapt_group(source_model: Model, target_train: Dataset, configs: list[Train
         # epoch start, then train one epoch of hard CE on those labels
         model, x = source_model.copy(), target_train.features
         epochs = ((epoch, (ce, np.zeros(1), ce), lr) for epoch, (ce,), lr in _fit_hard_labels(
-            model, config, config.adapt_epochs, rng, x, lambda: model.predict(x)[0],
+            model, config.adapt_epochs, rng, x, lambda: model.predict(x)[0],
             "naive pseudo-labeling"))
     else:
         model = source_model  # source_only; every result below is a copy

@@ -10,11 +10,11 @@ import pytest
 import dmapl.cli
 import dmapl.trainer
 from dmapl.cli import main
-from dmapl.configio import load_flat_config
-from dmapl.datasets import load_csv
+from dmapl.configio import load_flat_config, train_config_from_sources
+from dmapl.datasets import Dataset, load_csv, save_csv
 from dmapl.evaluation import evaluate
-from dmapl.model import load_model
-from dmapl.numkit import DmaplError
+from dmapl.model import Model, ModelConfig, load_model, save_model
+from dmapl.numkit import DmaplError, make_rng
 from dmapl.splitter import save_split_csv, split_target
 from dmapl.trainer import TrainConfig
 
@@ -184,15 +184,17 @@ def test_adapt_config_file_with_flag_override(data_dir, source_dir, tmp_path):
 
 
 # a value other than the default for every TrainConfig key, as the config files spell it
-NON_DEFAULT_CONFIG = {"p_th": 0.8, "alpha": 0.7, "beta": 0.6, "lambda": 0.5, "eta_0": 0.02,
-                      "eta_1": 0.002, "momentum": 0.8, "weight_decay": 0.01, "source_epochs": 3,
-                      "adapt_epochs": 2, "batch_size_l": 16, "batch_size_u": 32, "seed": 5,
-                      "mode": "soft_label_no_split", "hidden_dims": "16,8", "bottleneck_dim": 4}
+NON_DEFAULT_CONFIG = {"p_th": 0.8, "alpha": 0.7, "beta": 0.6, "lambda": 0.5, "source_epochs": 3,
+                      "adapt_epochs": 2, "seed": 5, "mode": "soft_label_no_split",
+                      "hidden_dims": "16,8", "bottleneck_dim": 4}
+# the optimizer and batch-size settings, a fixed recipe that no command takes
+RECIPE_KEYS = ("eta_0", "eta_1", "momentum", "weight_decay", "batch_size_l", "batch_size_u")
 
 
 @pytest.mark.parametrize("command", ["train-source", "adapt", "sweep"])
-def test_every_config_key_has_a_flag(command, data_dir, source_dir, tmp_path, monkeypatch):
-    expected = TrainConfig.from_dict(NON_DEFAULT_CONFIG)
+def test_every_config_key_has_a_flag(command, data_dir, source_dir, tmp_path, monkeypatch,
+                                     capsys):
+    expected = train_config_from_sources(None, NON_DEFAULT_CONFIG)
     assert set(NON_DEFAULT_CONFIG) == set(TrainConfig().to_dict())
     assert all(getattr(expected, f) != getattr(TrainConfig(), f)
                for f in TrainConfig.__dataclass_fields__)
@@ -204,10 +206,13 @@ def test_every_config_key_has_a_flag(command, data_dir, source_dir, tmp_path, mo
         monkeypatch.setattr(dmapl.cli, name, stop)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"alpha": [0.5]}))
+    # adapt takes the architecture of its model file, so the model has the one the flags name
+    model = tmp_path / "model.txt"
+    save_model(Model.init(ModelConfig(input_dim=2, hidden_dims=(16, 8), bottleneck_dim=4,
+                                      num_classes=4), make_rng(0)), str(model))
     inputs = {"train-source": ("--train", data_dir / "source_train.csv",
                                "--val", data_dir / "source_val.csv"),
-              "adapt": ("--source-model", source_dir / "source_model.txt",
-                        "--target-train", data_dir / "target_train.csv"),
+              "adapt": ("--source-model", model, "--target-train", data_dir / "target_train.csv"),
               "sweep": ("--grid", grid)}
     flags = [arg for key, value in NON_DEFAULT_CONFIG.items()
              for arg in ("--" + key.replace("_", "-"), value)]
@@ -216,7 +221,18 @@ def test_every_config_key_has_a_flag(command, data_dir, source_dir, tmp_path, mo
     resolved = load_flat_config(str(out / "resolved_config.txt"))
     resolved.pop("seeds", None)
     assert set(resolved) == set(NON_DEFAULT_CONFIG)
-    assert TrainConfig.from_dict(resolved) == expected
+    assert train_config_from_sources(None, resolved) == expected
+    # and no other key has one, nor a config-file entry
+    out, cfg = tmp_path / "recipe", tmp_path / "old.txt"
+    for key in RECIPE_KEYS:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *inputs[command], "--" + key.replace("_", "-"), 1, "--out", out)
+        assert exc.value.code == 2
+        cfg.write_text(f"{key} = 1\n")
+        capsys.readouterr()
+        assert run_cli(command, *inputs[command], "--config", cfg, "--out", out) == 1
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_adapt_missing_config_uses_defaults(data_dir, source_dir, tmp_path):
@@ -386,6 +402,21 @@ def test_adapt_config_with_removed_encoder_lr_scale_key_fails(data_dir, source_d
     assert "unknown config keys: ['encoder_lr_scale']" in capsys.readouterr().err
 
 
+def test_adapt_records_the_architecture_of_its_model_file(data_dir, tmp_path):
+    assert run_cli("train-source", "--train", data_dir / "source_train.csv",
+                   "--val", data_dir / "source_val.csv", "--out", tmp_path / "source",
+                   "--source-epochs", 8, "--hidden-dims", "32,16", "--bottleneck-dim", 5) == 0
+    out = tmp_path / "adapt"
+    assert run_cli("adapt", "--source-model", tmp_path / "source" / "source_model.txt",
+                   "--target-train", data_dir / "target_train.csv", "--adapt-epochs", 1,
+                   "--p-th", 0.5, "--out", out) == 0
+    resolved = load_flat_config(str(out / "resolved_config.txt"))
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert (resolved["hidden_dims"], resolved["bottleneck_dim"]) == ("32,16", 5)
+    assert (config["hidden_dims"], config["bottleneck_dim"]) == ([32, 16], 5)
+    assert load_model(str(out / "adapted_model.txt")).config.hidden_dims == (32, 16)
+
+
 def counting_train_source(monkeypatch, pass_through=False):
     """Record every `dmapl.trainer.train_source` call; without `pass_through`
     a call fails the test."""
@@ -419,6 +450,8 @@ def test_empty_seeds_rejected_before_training(command, tmp_path, monkeypatch, ca
 # grid file, and a "sweep-grid-*" row's error must name that file; a "key = value"
 # string is written as a flat config or spec file
 TRAIN = ("train-source", "--train", "@source", "--val", "@source")
+ADAPT = ("adapt", "--source-model", "@model", "--target-train", "@data")
+SPLIT = ("split", "--model", "@model", "--target-train", "@data")
 BAD_INPUTS = {
     "sweep-grid-value": ("sweep", "--grid", {"alpha": [2.0]}),
     "sweep-grid-scalar": ("sweep", "--grid", {"alpha": 0.5}),
@@ -445,27 +478,77 @@ BAD_INPUTS = {
     "gen-data-nan-noise": ("gen-data", "--spec", "noise_sigma = nan"),
     "gen-data-nan-separation": ("gen-data", "--spec", "class_separation = nan"),
     "gen-data-nan-translation": ("gen-data", "--spec", 'shift_translation = "1,nan"'),
-    "train-source-nan-decay": (*TRAIN, "--weight-decay", "nan"),
+    "train-source-nan-alpha": (*TRAIN, "--alpha", "nan"),
     "adapt-inf-lambda": ("adapt", "--source-model", "@model", "--target-train", "@data",
                          "--lambda", "inf"),
     "train-source-zero-hidden": (*TRAIN, "--hidden-dims", 0),
     "train-source-zero-bottleneck": (*TRAIN, "--bottleneck-dim", 0),
     "train-source-float-epochs": (*TRAIN, "--config", "source_epochs = 2.5"),
-    "train-source-float-batch": (*TRAIN, "--config", "batch_size_l = 1.5"),
+    "train-source-float-adapt-epochs": (*TRAIN, "--config", "adapt_epochs = 1.5"),
     "train-source-float-bottleneck": (*TRAIN, "--config", "bottleneck_dim = 2.5"),
     "train-source-float-seed": (*TRAIN, "--config", "seed = 1.5"),
     "train-source-bool-lambda": (*TRAIN, "--config", "lambda = true"),
     "train-source-bool-hidden": (*TRAIN, "--config", "hidden_dims = true"),
+    "gen-data-negative-seed": ("gen-data", "--seed", -1),
+    "train-source-negative-seed": (*TRAIN, "--seed", -1),
+    "sweep-negative-seed": ("sweep", "--grid", {"alpha": [0.5]}, "--seeds", -1),
+    "gen-data-bad-translation": ("gen-data", "--spec", 'shift_translation = "1,x"'),
+    "train-source-bad-hidden": (*TRAIN, "--config", 'hidden_dims = "16,x"'),
+    "train-source-float-hidden": (*TRAIN, "--config", "hidden_dims = 16.5"),
+    "train-source-bad-hidden-flag": (*TRAIN, "--hidden-dims", "16,x"),
+    "split-short-ground-truth": (*SPLIT, "--ground-truth", "@short-truth"),
+    "split-long-ground-truth": (*SPLIT, "--ground-truth", "@long-truth"),
+    "adapt-short-ground-truth": (*ADAPT, "--ground-truth", "@short-truth"),
+    "adapt-long-ground-truth": (*ADAPT, "--ground-truth", "@long-truth"),
+    "adapt-unlabeled-ground-truth": (*ADAPT, "--ground-truth", "@data"),
+    "adapt-hidden-flag-not-the-model-s": (*ADAPT, "--hidden-dims", "32,16"),
+    "adapt-bottleneck-file-not-the-model-s": (*ADAPT, "--config", "bottleneck_dim = 5"),
+}
+# what the error of a row must say, "{name}" standing for the path of "@name"
+BAD_INPUT_ERRORS = {
+    "gen-data-negative-seed": "seed must be >= 0, got -1",
+    "train-source-negative-seed": "seed must be >= 0, got -1",
+    "sweep-negative-seed": "seed must be >= 0, got -1",
+    "gen-data-bad-translation": ("{flat}: shift_translation: expected comma-separated floats, "
+                                 "got '1,x'"),
+    "train-source-bad-hidden": "{flat}: hidden_dims: expected comma-separated ints, got '16,x'",
+    "train-source-float-hidden": "{flat}: hidden_dims: expected comma-separated ints, got 16.5",
+    "train-source-bad-hidden-flag": "error: hidden_dims: expected comma-separated ints",
+    "split-short-ground-truth": ("{short-truth} has 10 labeled rows; it needs a label for each "
+                                 "of the 256 rows of {data}"),
+    "split-long-ground-truth": "{long-truth} has 320 labeled rows;",
+    "adapt-short-ground-truth": "{short-truth} has 10 labeled rows;",
+    "adapt-long-ground-truth": "{long-truth} has 320 labeled rows;",
+    "adapt-unlabeled-ground-truth": ("{data} has 256 unlabeled rows; it needs a label for each "
+                                     "of the 256 rows of {data}"),
+    "adapt-hidden-flag-not-the-model-s": ("hidden_dims = (32, 16) disagrees with the model file "
+                                          "{model}, which has (64,)"),
+    "adapt-bottleneck-file-not-the-model-s": ("bottleneck_dim = 5 disagrees with the model file "
+                                              "{model}, which has 8"),
 }
 
 
+@pytest.fixture(scope="module")
+def truth_files(data_dir, tmp_path_factory):
+    """A ground-truth file 10 rows short, and one with the target test rows appended."""
+    out = tmp_path_factory.mktemp("truth")
+    truth = load_csv(str(data_dir / "target_train_groundtruth.csv"))
+    test = load_csv(str(data_dir / "target_test.csv"))
+    save_csv(truth.subset(np.arange(10)), str(out / "short.csv"))
+    save_csv(Dataset(np.concatenate([truth.features, test.features]),
+                     np.concatenate([truth.labels, test.labels]), truth.num_classes),
+             str(out / "long.csv"))
+    return {"@short-truth": out / "short.csv", "@long-truth": out / "long.csv"}
+
+
 @pytest.mark.parametrize("name", BAD_INPUTS)
-def test_bad_input_fails_before_out_is_made(name, data_dir, source_dir, tmp_path, monkeypatch,
-                                            capsys):
+def test_bad_input_fails_before_out_is_made(name, data_dir, source_dir, truth_files, tmp_path,
+                                            monkeypatch, capsys):
     calls = counting_train_source(monkeypatch)
-    paths = {"@model": source_dir / "source_model.txt", "@data": data_dir / "target_train.csv",
-             "@source": data_dir / "source_train.csv", "@missing": tmp_path / "missing.csv"}
     grid, flat = tmp_path / "grid.json", tmp_path / "flat.txt"
+    paths = {"@model": source_dir / "source_model.txt", "@data": data_dir / "target_train.csv",
+             "@source": data_dir / "source_train.csv", "@missing": tmp_path / "missing.csv",
+             "@flat": flat, **truth_files}
     argv = []
     for arg in BAD_INPUTS[name]:
         if isinstance(arg, (dict, list)):
@@ -478,6 +561,10 @@ def test_bad_input_fails_before_out_is_made(name, data_dir, source_dir, tmp_path
     assert run_cli(*argv, "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {grid}: " if name.startswith("sweep-grid") else "error: ")
+    expected = BAD_INPUT_ERRORS.get(name, "")
+    for key, path in paths.items():
+        expected = expected.replace("{" + key[1:] + "}", str(path))
+    assert expected in err
     assert calls == []
     assert not (tmp_path / "out").exists()
 

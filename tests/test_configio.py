@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dmapl.configio import (ConfigError, format_flat_config, parse_flat_config,
@@ -74,3 +76,24 @@ def test_shift_spec_too_small_to_split_names_the_minimum():
     assert DomainShiftSpec(samples_per_class=2).samples_per_class == 2  # generation needs no split
     bench = prepare_benchmark(shift_spec_from_sources(None, {"samples_per_class": 3}))
     assert bench.source_val.n == bench.source_test.n == bench.target_test.n == 4
+
+
+def test_list_settings_are_parsed_in_one_place(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text('hidden_dims = "16, 8"\n')
+    assert train_config_from_sources(str(path), {}).hidden_dims == (16, 8)
+    assert train_config_from_sources(None, {"hidden_dims": 16}).hidden_dims == (16,)
+    spec = shift_spec_from_sources(None, {"shift_translation": "1,0.5"})
+    assert spec.shift_translation == (1.0, 0.5)
+    # a bad element names the key, and the file it came from
+    for line in ('hidden_dims = "16,x"', "hidden_dims = 16.5", "hidden_dims = true",
+                 'shift_translation = "1,x"'):
+        path.write_text(line + "\n")
+        key = line.split(" = ")[0]
+        load = shift_spec_from_sources if key == "shift_translation" else train_config_from_sources
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {key}: expected "
+                                              "comma-separated"):
+            load(str(path), {})
+    with pytest.raises(ConfigError, match="^hidden_dims: expected comma-separated ints, "
+                                          "got '16,x'$"):
+        train_config_from_sources(None, {"hidden_dims": "16,x"})

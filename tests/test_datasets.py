@@ -25,6 +25,8 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="must be integers"):
             DomainShiftSpec(**counts)
     assert DomainShiftSpec(seed=np.int64(3)).seed == 3
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        DomainShiftSpec(seed=-1)
     for floats in ({"noise_sigma": True}, {"shift_rotation_deg": True}):
         with pytest.raises(ValueError, match="must be finite numbers"):
             DomainShiftSpec(**floats)

@@ -68,7 +68,7 @@ def test_sweep_rows_equal_solo_runs(name):
 @pytest.mark.parametrize("shape", [
     dict(spec={}, config={}),
     dict(spec=dict(num_classes=6, feature_dim=5, shift_rotation_deg=15.0),
-         config=dict(hidden_dims=(32, 16), bottleneck_dim=12, batch_size_l=40, batch_size_u=24)),
+         config=dict(hidden_dims=(32, 16), bottleneck_dim=12)),
 ])
 def test_lockstep_models_and_records_equal_solo_runs(shape):
     spec = DomainShiftSpec(seed=5, samples_per_class=60, **shape["spec"])

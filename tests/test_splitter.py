@@ -92,6 +92,10 @@ def test_diagnostics_ratio_and_pl_accuracy():
     assert diag["ratio"] == 0.5
     assert diag["pl_accuracy"] == 0.5  # one of the two confident labels is wrong
     assert split_diagnostics(result)["pl_accuracy"] is None
+    for truth in ([0, 1, 0], [0, 1, 0, 1, 0]):  # one label per split row, no more, no fewer
+        with pytest.raises(ValueError, match=f"{len(truth)} ground-truth labels for a split "
+                                             "of 4 rows"):
+            split_diagnostics(result, true_labels=np.array(truth))
 
 
 def test_all_confident_ratio_one():
