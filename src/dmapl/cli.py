@@ -28,8 +28,8 @@ from .evaluation import evaluate, format_metrics_table
 from .model import load_model, save_model
 from .numkit import DmaplError
 from .splitter import save_split_csv, split_diagnostics, split_target
-from .trainer import (MODES, SPLIT_RATIO, VAL_FRACTION, TrainConfig, _grid_cells, _sweep_work,
-                      adapt, prepare_benchmark, sweep, train_source)
+from .trainer import (MODES, SPLIT_RATIO, VAL_FRACTION, TrainConfig, _grid_cells, _run_sweep,
+                      _sweep_work, adapt, prepare_benchmark, train_source)
 
 
 def _prepare_out_dir(path: str, force: bool) -> None:
@@ -193,14 +193,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"{args.grid}: {exc}") from None
     seeds = _parse_seeds(args.seeds)
-    _sweep_work(spec, base_config, grid, seeds, args.jobs)  # checks --jobs before --out
+    work = _sweep_work(spec, cells, seeds, args.jobs)
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, {**base_config.to_dict(), "seeds": args.seeds})
     with open(os.path.join(args.out, "grid.json"), "w") as fh:
         json.dump(grid, fh, sort_keys=True)
         fh.write("\n")
-    rows = sweep(spec, base_config, grid, seeds=seeds, jobs=args.jobs)  # one source model per seed
-    keys = list(dict.fromkeys(key for cell_keys, _ in cells for key in cell_keys))
+    rows = _run_sweep(work, args.jobs)  # one source model per seed
+    keys = list(dict.fromkeys(key for cell_keys, _, _ in cells for key in cell_keys))
     _write_table(os.path.join(args.out, "sweep.csv"), rows,
                  keys + ["ratio", "pl_acc", "test_acc", "seed", "error"])
     width = len(rows) // len(seeds)  # each seed's rows hold every cell, in the same order

@@ -100,27 +100,38 @@ def settings_from_sources(path: str | None, overrides: dict) -> dict:
     return values
 
 
+def _from_sources(path: str | None, overrides: dict, build):
+    """`build` of the settings of the file at `path` and `overrides`; a
+    ConfigError names the file unless the overrides alone fail the same."""
+    try:
+        return build(settings_from_sources(path, overrides))
+    except (TypeError, ValueError) as exc:
+        error = str(exc)
+    try:
+        build(settings_from_sources(None, overrides))
+    except (TypeError, ValueError) as exc:
+        path = None if str(exc) == error else path
+    raise ConfigError(error if path is None else f"{path}: {error}")
+
+
 def train_config_from_sources(path: str | None, overrides: dict) -> TrainConfig:
     """Defaults, then config file, then explicit overrides (CLI flags)."""
-    try:
-        return TrainConfig.from_dict(settings_from_sources(path, overrides))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    return _from_sources(path, overrides, TrainConfig.from_dict)
+
+
+def _shift_spec(values: dict) -> DomainShiftSpec:
+    unknown = set(values) - set(DomainShiftSpec.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown benchmark spec keys: {sorted(unknown)}")
+    spec = DomainShiftSpec(**values)
+    if spec.samples_per_class < MIN_SAMPLES_PER_CLASS:
+        raise ValueError(f"samples_per_class must be >= {MIN_SAMPLES_PER_CLASS} for the "
+                         "benchmark's train/test and validation splits, "
+                         f"got {spec.samples_per_class}")
+    return spec
 
 
 def shift_spec_from_sources(path: str | None, overrides: dict) -> DomainShiftSpec:
     """The benchmark spec of a file and overrides; it must leave every class
     of the benchmark splits non-empty."""
-    values = settings_from_sources(path, overrides)
-    unknown = set(values) - set(DomainShiftSpec.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown benchmark spec keys: {sorted(unknown)}")
-    try:
-        spec = DomainShiftSpec(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    if spec.samples_per_class < MIN_SAMPLES_PER_CLASS:
-        raise ConfigError(f"samples_per_class must be >= {MIN_SAMPLES_PER_CLASS} for the "
-                          "benchmark's train/test and validation splits, "
-                          f"got {spec.samples_per_class}")
-    return spec
+    return _from_sources(path, overrides, _shift_spec)

@@ -22,25 +22,25 @@ def labeled_ce(probs: np.ndarray, pseudo_labels: np.ndarray) -> tuple[np.ndarray
     """Per cell, mean -log p(label) over the batch, plus the gradient on the
     logits.
 
-    probs rows must be softmax outputs aligned with the (n,) labels, which
-    every cell shares; the gradient is (probs - onehot) / batch_size.
+    probs rows must be softmax outputs aligned with the labels, (n,) for every
+    cell or (K, n); the gradient is (probs - onehot) / batch_size.
     """
-    p = np.asarray(probs, dtype=np.float64)
+    p = np.ascontiguousarray(probs, dtype=np.float64)
     labels = np.asarray(pseudo_labels, dtype=np.int64)
     n = p.shape[-2]
     if n == 0:
         raise ValueError("empty batch")
-    if labels.shape != (n,):
+    if labels.shape not in ((n,), p.shape[:-1]):
         raise ValueError("labels must align with probability rows")
     if any_outside(labels, p.shape[-1]):
         raise ValueError("label out of range")
-    at_label = (..., np.arange(n), labels)
-    picked = p[at_label]
+    at_label = np.arange(0, p.size, p.shape[-1]).reshape(p.shape[:-1]) + labels
+    picked = p.reshape(-1)[at_label]  # at_label: the flat index of each row's label entry
     # (p - onehot(labels)) / n: only the label entries differ from p / n
     grad = p / n
-    grad[at_label] = (picked - 1.0) / n
+    grad.reshape(-1)[at_label] = (picked - 1.0) / n
     # contiguous rows, so each cell's mean sums in the same order as a 1-D one
-    logp = np.log(np.maximum(np.ascontiguousarray(picked), PROB_CLAMP))
+    logp = np.log(np.maximum(picked, PROB_CLAMP))
     return np.add.reduce(logp, axis=-1) / -n, grad  # -(sum / n), bit for bit
 
 

@@ -155,13 +155,14 @@ class Model:
         return Model(self.config, self.flat[k:k + 1].copy())
 
     def forward(self, batch: np.ndarray) -> Activations:
-        """Forward a (n, input_dim) batch through every cell: features,
-        logits and probs are (K, n, ·). Non-finite logits raise
-        DivergenceError."""
+        """Forward a (n, input_dim) batch through every cell, or a (K, n,
+        input_dim) batch, a slice per cell: features, logits and probs are
+        (K, n, ·). Non-finite logits raise DivergenceError."""
         x = np.asarray(batch, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
-            raise ValueError(
-                f"batch shape {x.shape} does not match input dim {self.config.input_dim}")
+        if x.ndim not in (2, 3) or x.shape[-1] != self.config.input_dim or x.shape[:-2] not in (
+                (), (len(self.flat),)):
+            raise ValueError(f"batch shape {x.shape} does not match input dim "
+                             f"{self.config.input_dim} and {len(self.flat)} cells")
         # in-place bias and ReLU: one new array per layer, which matters once
         # a stack of cells makes the activations large
         *encoder, (w_bottleneck, b_bottleneck), (w_classifier, b_classifier) = self._layers

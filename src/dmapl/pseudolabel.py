@@ -160,8 +160,7 @@ class SoftLabelStore:
         # adding (1 - beta) * onehot(y) changes only the class entry: its
         # zeros would add exactly +0.0 to the non-negative q
         q *= beta
-        at = y[..., None]
-        np.put_along_axis(q, at, np.take_along_axis(q, at, -1) + (1.0 - beta), -1)
+        q[np.arange(len(q))[:, None], np.arange(q.shape[1]), y] += 1.0 - beta[..., 0]
         self.q[rows] = q
         self.update_counts[rows] += 1
 

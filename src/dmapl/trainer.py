@@ -4,12 +4,12 @@ the ablation variants, and hyperparameter sweeps.
 Every routine is deterministic in (config, seed, data): one PCG64 stream per
 run drives initialization and every shuffle, and no wall-clock state leaks
 into the numerics. Every phase trains a stack of model cells through one SGD
-loop, `_fit`; source training and naive_pl train one cell. Adaptation splits
-the target training set exactly once, with the source model, and never
-touches the frozen pseudo-labels afterwards. Configs that differ only in
-alpha, beta and lambda adapt in lockstep, a cell each in one loop, each cell
-computing exactly what its own run computes.
-"""
+loop, `_fit`; source training stacks the runs of several seeds, a cell each
+with its own batches, and naive_pl trains one cell. Adaptation splits the
+target training set exactly once, with the source model, and never touches
+the frozen pseudo-labels afterwards. Configs that differ only in alpha, beta
+and lambda adapt in lockstep, a cell each in one loop, each cell computing
+exactly what its own run computes."""
 
 from __future__ import annotations
 
@@ -188,15 +188,18 @@ def _fit(model: Model, epochs: int, rows: int, batches, step):
         yield epoch, [s / iters_per_epoch for s in sums], opt.lr_at(t - 1)
 
 
-def _fit_hard_labels(model: Model, epochs: int, rng: np.random.Generator, x: np.ndarray,
+def _fit_hard_labels(model: Model, epochs: int, rngs: list[np.random.Generator], x: np.ndarray,
                      labels_of, what: str):
     """`_fit` with cross-entropy on hard labels, for source training and
-    naive_pl: each epoch takes `labels_of()` for the rows of `x`, then makes
-    one pass over them in a fresh permutation."""
+    naive_pl: cell k trains on the rows of x[k], x being (K, n, d). Each
+    epoch takes `labels_of()`, (K, n), then passes over each cell's rows in
+    a fresh permutation from the cell's rng."""
     def batches():
         labels = labels_of()
-        for idx in _batches(rng.permutation(len(x)), BATCH_SIZE):
-            yield x[idx], labels[idx]
+        perm = np.stack([rng.permutation(x.shape[1]) for rng in rngs])
+        xs, ys = np.take_along_axis(x, perm[..., None], 1), np.take_along_axis(labels, perm, 1)
+        for start in range(0, x.shape[1], BATCH_SIZE):
+            yield xs[:, start:start + BATCH_SIZE], ys[:, start:start + BATCH_SIZE]
 
     def step(batch):
         cache = model.forward(batch[0])
@@ -205,38 +208,84 @@ def _fit_hard_labels(model: Model, epochs: int, rng: np.random.Generator, x: np.
             raise DivergenceError(f"non-finite {what} loss", ~np.isfinite(loss))
         return cache, grad, (loss,)
 
-    return _fit(model, epochs, len(x), batches, step)
+    return _fit(model, epochs, x.shape[1], batches, step)
 
 
-def train_source(source_train: Dataset, source_val: Dataset,
-                 config: TrainConfig) -> tuple[Model, RunRecord]:
-    """Cross-entropy pre-training on the labeled source split.
+def _drop_diverged(run, count: int) -> list:
+    """Per cell of `count`, what `run(alive)` returns for it, `alive` being
+    the cells still running. A DivergenceError is the outcome of the cells
+    it names (all, for a one-cell run); the rest run again from the start."""
+    outcomes, alive = [None] * count, list(range(count))
+    while alive:
+        try:
+            results, rest = run(alive), []
+        except DivergenceError as exc:
+            diverged = np.broadcast_to(exc.cells, len(alive))
+            results, rest = [exc] * len(alive), [i for i, d in zip(alive, diverged) if not d]
+        for i, result in zip(alive, results):
+            outcomes[i] = result
+        alive = rest
+    return outcomes
 
-    Trains for `source_epochs` with the cosine schedule and returns the epoch
-    checkpoint with the best validation accuracy (later epoch wins ties, so a
-    saturated validation set yields the settled end-of-schedule model).
-    """
-    if not (source_train.is_labeled and source_val.is_labeled):
-        raise ValueError("source datasets must be labeled")
-    if source_train.num_classes != source_val.num_classes:
-        raise ValueError("train and validation class counts differ")
-    start = time.perf_counter()
-    rng = make_rng(config.seed)
-    model = Model.init(ModelConfig(source_train.dim, config.hidden_dims, config.bottleneck_dim,
-                                   source_train.num_classes), rng)
-    record = RunRecord(config=config.to_dict(), seed=config.seed, mode="source_pretrain")
-    best_acc, best_model = -1.0, None
-    for epoch, (ce,), lr in _fit_hard_labels(model, config.source_epochs, rng,
-                                             source_train.features, lambda: source_train.labels,
-                                             "source training"):
-        val_acc = evaluate(model, source_val).micro
-        if val_acc >= best_acc:
-            best_acc, best_model = val_acc, model.copy()
-        record.epochs.append({"epoch": epoch, "train_ce": float(ce[0]), "val_micro": val_acc,
-                              "lr": lr})
-    record.final = {"best_val_micro": best_acc}
-    record.wall_clock_sec = time.perf_counter() - start
-    return best_model, record
+
+def train_source(source_train: Dataset | list[Dataset], source_val: Dataset | list[Dataset],
+                 config: TrainConfig | list[TrainConfig]) -> tuple[Model, RunRecord] | list:
+    """Cross-entropy pre-training on the labeled source split for
+    `source_epochs` with the cosine schedule. Returns the epoch checkpoint
+    with the best validation accuracy (later epoch wins ties, so a saturated
+    validation set yields the settled end-of-schedule model) and its record.
+
+    The arguments may also be lists of one length, an entry per run; the
+    runs then train in one stack, each with its own rng in its solo draw
+    order, its own validation and its own best checkpoint. They must share
+    the architecture, `source_epochs` and the train and validation row
+    counts. The result is a list holding, per run, (model, record) or the
+    DmaplError it raised, each bit-identical to the run alone: a diverging
+    run is dropped and the rest train again."""
+    solo = isinstance(config, TrainConfig)
+    runs = ([(source_train, source_val, config)] if solo else
+            list(zip(source_train, source_val, config, strict=True)))
+    for train, val, _ in runs:
+        if not (train.is_labeled and val.is_labeled):
+            raise ValueError("source datasets must be labeled")
+        if train.num_classes != val.num_classes:
+            raise ValueError("train and validation class counts differ")
+        if not val.n:
+            raise ValueError("validation set is empty")
+    if len({(c.hidden_dims, c.bottleneck_dim, c.source_epochs, t.dim, t.num_classes, t.n, v.n)
+            for t, v, c in runs}) > 1:
+        raise ValueError("runs trained together must share the architecture, source_epochs "
+                         "and the train and validation row counts")
+
+    def train(alive: list[int]) -> list[tuple[Model, RunRecord]]:
+        start = time.perf_counter()
+        trains, vals, configs = zip(*(runs[i] for i in alive))
+        rngs = [make_rng(c.seed) for c in configs]
+        arch = ModelConfig(trains[0].dim, configs[0].hidden_dims, configs[0].bottleneck_dim,
+                           trains[0].num_classes)
+        model = Model.stack([Model.init(arch, rng) for rng in rngs])
+        records = [RunRecord(config=c.to_dict(), seed=c.seed, mode="source_pretrain")
+                   for c in configs]
+        val_x, val_y = np.stack([v.features for v in vals]), np.stack([v.labels for v in vals])
+        labels = np.stack([t.labels for t in trains])
+        best_acc, best = np.full(len(alive), -1.0), model.flat.copy()
+        for epoch, (ce,), lr in _fit_hard_labels(model, configs[0].source_epochs, rngs,
+                                                 np.stack([t.features for t in trains]),
+                                                 lambda: labels, "source training"):
+            # the micro accuracy of `evaluate`, for every run's validation set at once
+            val_acc = np.count_nonzero(model.predict(val_x) == val_y, axis=-1) / val_y.shape[1]
+            better = val_acc >= best_acc  # the later epoch wins a tie
+            best_acc[better], best[better] = val_acc[better], model.flat[better]
+            for record, ce_k, acc in zip(records, ce, val_acc):
+                record.epochs.append({"epoch": epoch, "train_ce": float(ce_k),
+                                      "val_micro": float(acc), "lr": lr})
+        for record, acc in zip(records, best_acc):
+            record.final = {"best_val_micro": float(acc)}
+            record.wall_clock_sec = time.perf_counter() - start
+        return [(Model(arch, best[k:k + 1]), record) for k, record in enumerate(records)]
+
+    outcomes = _drop_diverged(train, len(runs))
+    return _unwrap(outcomes[0]) if solo else outcomes
 
 
 def _lockstep_key(config: TrainConfig) -> TrainConfig:
@@ -373,7 +422,7 @@ def _adapt_group(source_model: Model, target_train: Dataset, configs: list[Train
         # epoch start, then train one epoch of hard CE on those labels
         model, x = source_model.copy(), target_train.features
         epochs = ((epoch, (ce, np.zeros(1), ce), lr) for epoch, (ce,), lr in _fit_hard_labels(
-            model, config.adapt_epochs, rng, x, lambda: model.predict(x)[0],
+            model, config.adapt_epochs, [rng], x[None], lambda: model.predict(x),
             "naive pseudo-labeling"))
     else:
         model = source_model  # source_only; every result below is a copy
@@ -430,29 +479,15 @@ def adapt(source_model: Model, target_train: Dataset,
         raise ValueError("configs adapted together may differ only in alpha, beta and lambda")
     if snapshot_dir is not None and len(configs) > 1:
         raise ValueError("soft-label snapshots are written for a single config only")
-    outcomes: list = [None] * len(configs)
-    alive = list(range(len(configs)))
-    split = None
-    if configs[0].mode == "dmapl":
-        try:
-            split = split_target(source_model, target_train, configs[0].p_th)
-        except DmaplError as exc:
-            outcomes, alive = [exc] * len(configs), []
-    while alive:
-        try:
-            results = _adapt_group(source_model, target_train, [configs[i] for i in alive],
-                                   split, diagnostic_labels, eval_data, snapshot_dir)
-        except DivergenceError as exc:
-            # a one-cell run serves every config, so its mask covers them all
-            failed = np.broadcast_to(exc.cells, len(alive))
-            for i, diverged in zip(alive, failed):
-                if diverged:
-                    outcomes[i] = exc
-            alive = [i for i, diverged in zip(alive, failed) if not diverged]
-        else:
-            for i, result in zip(alive, results):
-                outcomes[i] = result
-            break
+    try:
+        split = (split_target(source_model, target_train, configs[0].p_th)
+                 if configs[0].mode == "dmapl" else None)
+    except DmaplError as exc:
+        outcomes = [exc] * len(configs)
+    else:
+        outcomes = _drop_diverged(lambda alive: _adapt_group(
+            source_model, target_train, [configs[i] for i in alive], split, diagnostic_labels,
+            eval_data, snapshot_dir), len(configs))
     return _unwrap(outcomes[0]) if isinstance(config, TrainConfig) else outcomes
 
 
@@ -490,6 +525,40 @@ def prepare_benchmark(spec: DomainShiftSpec) -> Benchmark:
     return Benchmark(source_train, source_val, source_test, target_train, target_test)
 
 
+def _experiment(bench: Benchmark, seed: int, configs: list[TrainConfig], source_model: Model,
+                source_record: RunRecord) -> list:
+    """Adapt and evaluate `configs` on the benchmark of `seed` from its
+    source model: per config its result dict or DmaplError."""
+    source_metrics = evaluate(source_model, bench.target_test)
+    target = bench.target_train.without_labels()
+    groups: dict[TrainConfig, list[int]] = {}
+    for i, c in enumerate(configs):
+        groups.setdefault(_lockstep_key(c), []).append(i)
+    outcomes: list = [None] * len(configs)
+    for members in groups.values():
+        results = adapt(source_model, target, [configs[i] for i in members],
+                        diagnostic_labels=bench.target_train.labels)
+        for i, result in zip(members, results):
+            try:
+                adapted, record = _unwrap(result)
+                metrics = evaluate(adapted, bench.target_test)
+            except DmaplError as exc:
+                outcomes[i] = exc
+                continue
+            outcomes[i] = {
+                "mode": configs[i].mode,
+                "seed": seed,
+                "source_val_micro": source_record.final["best_val_micro"],
+                "source_test_macro": source_metrics.macro,
+                "source_test_micro": source_metrics.micro,
+                "test_macro": metrics.macro,
+                "test_micro": metrics.micro,
+                "split": record.split,
+                "record": record,
+            }
+    return outcomes
+
+
 def run_experiment(spec: DomainShiftSpec, config: TrainConfig | list[TrainConfig]) -> dict | list:
     """Full pipeline on one benchmark seed: pre-train, adapt per config.mode,
     evaluate source-only and adapted models on the target test set.
@@ -509,38 +578,17 @@ def run_experiment(spec: DomainShiftSpec, config: TrainConfig | list[TrainConfig
         raise ValueError("configs run together may differ only in mode, p_th, alpha, beta "
                          "and lambda")
     bench = prepare_benchmark(spec)
-    source_model, source_record = train_source(bench.source_train, bench.source_val, configs[0])
-    source_metrics = evaluate(source_model, bench.target_test)
-    target = bench.target_train.without_labels()
-    groups: dict[TrainConfig, list[int]] = {}
-    for i, c in enumerate(configs):
-        groups.setdefault(_lockstep_key(c), []).append(i)
-    outcomes: list = [None] * len(configs)
-    for members in groups.values():
-        results = adapt(source_model, target, [configs[i] for i in members],
-                        diagnostic_labels=bench.target_train.labels)
-        for i, result in zip(members, results):
-            try:
-                adapted, record = _unwrap(result)
-                metrics = evaluate(adapted, bench.target_test)
-            except DmaplError as exc:
-                outcomes[i] = exc
-                continue
-            outcomes[i] = {
-                "mode": configs[i].mode,
-                "seed": spec.seed,
-                "source_val_micro": source_record.final["best_val_micro"],
-                "source_test_macro": source_metrics.macro,
-                "source_test_micro": source_metrics.micro,
-                "test_macro": metrics.macro,
-                "test_micro": metrics.micro,
-                "split": record.split,
-                "record": record,
-            }
+    outcomes = _experiment(bench, spec.seed, configs,
+                           *train_source(bench.source_train, bench.source_val, configs[0]))
     return _unwrap(outcomes[0]) if isinstance(config, TrainConfig) else outcomes
 
 
 SWEEPABLE = ("mode", "p_th", "alpha", "beta", "lambda")
+# most seeds whose source models train in one stack. Stacking won at every K
+# measured, 3 to 64, and from K = 5 on a seed costs 0.02-0.03 s stacked
+# against 0.05-0.07 s alone (default spec, 2-vCPU x86-64), so a larger stack
+# saves no more and only holds more benchmarks at once.
+STACK_SEEDS = 32
 
 
 def _cell_config(base: TrainConfig, keys: list[str], cell: tuple) -> TrainConfig:
@@ -551,26 +599,9 @@ def _cell_config(base: TrainConfig, keys: list[str], cell: tuple) -> TrainConfig
         raise ValueError(f"grid cell {dict(zip(keys, cell))}: {exc}") from None
 
 
-def _sweep_one_seed(args: tuple) -> list[dict]:
-    spec, cells, cell_configs = args
-    distinct = list(dict.fromkeys(cell_configs))  # a config in several grids runs once
-    results = dict(zip(distinct, run_experiment(spec, distinct)))
-    rows = []
-    for (keys, cell), config in zip(cells, cell_configs):
-        row, result = dict(zip(keys, cell), seed=config.seed), results[config]
-        if isinstance(result, DmaplError):
-            row.update(ratio=None, pl_acc=None, test_acc=None, error=str(result))
-        else:
-            split = result["split"] or {}  # a mode other than dmapl makes no split
-            row.update(ratio=split.get("ratio"), pl_acc=split.get("pl_accuracy"),
-                       test_acc=result["test_micro"], error=None)
-        rows.append(row)
-    return rows
-
-
-def _grid_cells(base_config: TrainConfig, grid) -> list[tuple[list[str], tuple]]:
-    """Check one grid or a list of grids, and the config of every cell;
-    return the (grid keys, cell values) pairs in (grid, cell) order."""
+def _grid_cells(base_config: TrainConfig, grid) -> list[tuple[list[str], tuple, TrainConfig]]:
+    """Check one grid or a list of grids and every cell's config; return
+    each cell's (grid keys, cell values, config) in (grid, cell) order."""
     grids = grid if isinstance(grid, list) else [grid]
     if not all(isinstance(g, dict) and all(isinstance(v, list) for v in g.values())
                for g in grids):
@@ -584,43 +615,70 @@ def _grid_cells(base_config: TrainConfig, grid) -> list[tuple[list[str], tuple]]
             raise ValueError(f"grid keys must be among {SWEEPABLE}, got {sorted(unknown)}")
         if any(len(v) == 0 for v in g.values()):
             raise ValueError("empty grid axis")
-    cells = [(list(g), cell) for g in grids for cell in itertools.product(*g.values())]
-    for keys, cell in cells:
-        _cell_config(base_config, keys, cell)
-    return cells
+    return [(list(g), cell, _cell_config(base_config, list(g), cell))
+            for g in grids for cell in itertools.product(*g.values())]
 
 
-def _sweep_work(spec: DomainShiftSpec, base_config: TrainConfig, grid, seeds, jobs) -> list:
-    """Check `sweep`'s arguments and every cell's config; return per seed its
-    spec, its (grid keys, cell values) pairs and their configs."""
-    cells = _grid_cells(base_config, grid)
-    if seeds is None:
-        seeds = [base_config.seed]
+def _sweep_work(spec: DomainShiftSpec, cells: list, seeds: list[int], jobs: int) -> list:
+    """Check the seeds and `jobs`; per seed, its spec, the cells and their configs."""
     if not seeds:
         raise ValueError("no seeds to sweep")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return [(replace(spec, seed=seed), cells,
-             [_cell_config(replace(base_config, seed=seed), keys, cell) for keys, cell in cells])
-            for seed in seeds]
+             [replace(config, seed=seed) for _, _, config in cells]) for seed in seeds]
+
+
+def _sweep_share(work: list) -> list[dict]:
+    """The rows of a share of `_sweep_work`'s seeds, whose source models
+    train in one stack; a failed source model is the error of its rows."""
+    benches = [prepare_benchmark(spec) for spec, _, _ in work]
+    sources = train_source([b.source_train for b in benches], [b.source_val for b in benches],
+                           [configs[0] for _, _, configs in work])
+    rows = []
+    for (spec, cells, configs), bench, source in zip(work, benches, sources):
+        distinct = list(dict.fromkeys(configs))  # a config in several grids runs once
+        try:
+            results = dict(zip(distinct, _experiment(bench, spec.seed, distinct, *_unwrap(source))))
+        except DmaplError as exc:  # the seed's source model failed
+            results = dict.fromkeys(distinct, exc)
+        for (keys, cell, _), config in zip(cells, configs):
+            row, result = dict(zip(keys, cell), seed=config.seed), results[config]
+            if isinstance(result, DmaplError):
+                row.update(ratio=None, pl_acc=None, test_acc=None, error=str(result))
+            else:
+                split = result["split"] or {}  # a mode other than dmapl makes no split
+                row.update(ratio=split.get("ratio"), pl_acc=split.get("pl_accuracy"),
+                           test_acc=result["test_micro"], error=None)
+            rows.append(row)
+    return rows
+
+
+def _run_sweep(work: list, jobs: int) -> list[dict]:
+    """`_sweep_work`'s seeds in up to `jobs` processes, in shares of at most
+    `STACK_SEEDS` seeds; rows in seed order."""
+    n = min(jobs, len(work))
+    parts = max(n, -(-len(work) // STACK_SEEDS))
+    shares = [work[i * len(work) // parts:(i + 1) * len(work) // parts] for i in range(parts)]
+    if n == 1:
+        return [row for share in shares for row in _sweep_share(share)]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        return [row for rows in pool.map(_sweep_share, shares) for row in rows]
 
 
 def sweep(spec: DomainShiftSpec, base_config: TrainConfig,
           grid: dict[str, list] | list[dict[str, list]],
           seeds: list[int] | None = None, jobs: int = 1) -> list[dict]:
     """One adaptation run per (grid cell, seed), for one grid or a list of
-    them; a row holds its own grid's keys. The cells of one seed go through
-    one `run_experiment` call, so the source model is trained once per seed,
-    a config in several grids runs once, and cells that share `p_th` adapt
-    in lockstep; every row is bit-identical to a run of its cell alone. All
-    arguments are validated before any training. A cell that fails at
-    runtime is recorded with its error and the sweep continues. Rows come
-    back in deterministic (seed, grid, cell) order."""
-    work = _sweep_work(spec, base_config, grid, seeds, jobs)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_seed = list(pool.map(_sweep_one_seed, work))
-    else:
-        per_seed = [_sweep_one_seed(w) for w in work]
-    return [row for rows in per_seed for row in rows]
+    them; a row holds its own grid's keys. `jobs` > 1 splits the seeds into
+    up to that many shares, a process each, and no share holds more than
+    `STACK_SEEDS` seeds. The source models of a share's seeds train in one
+    stack, once per seed; a config in several grids runs
+    once, and cells that share `p_th` adapt in lockstep. Every row is
+    bit-identical to a run of its cell alone. All arguments are validated
+    before any training; a failed source model or cell is recorded with its
+    error and the sweep goes on. Rows come in (seed, grid, cell) order."""
+    work = _sweep_work(spec, _grid_cells(base_config, grid),
+                       [base_config.seed] if seeds is None else seeds, jobs)
+    return _run_sweep(work, jobs)

@@ -202,7 +202,7 @@ def test_every_config_key_has_a_flag(command, data_dir, source_dir, tmp_path, mo
     def stop(*args, **kwargs):  # each command stops after writing its resolved config
         raise DmaplError("stopped")
 
-    for name in ("train_source", "adapt", "sweep"):
+    for name in ("train_source", "adapt", "_run_sweep"):
         monkeypatch.setattr(dmapl.cli, name, stop)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"alpha": [0.5]}))
@@ -310,7 +310,7 @@ def test_sweep_cli_runs_the_paper_grids_in_one_call(tmp_path, monkeypatch, capsy
     out = tmp_path / "sweep"
     assert run_cli("sweep", "--grid", grid_file, "--spec", spec, "--seeds", "0,1",
                    "--out", out) == 0
-    assert len(calls) == 2  # one source model per seed for all three grids
+    assert sorted(c.seed for c in calls) == [0, 1]  # one source model per seed for all grids
     with open(out / "sweep.csv", newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -348,7 +348,7 @@ def test_sweep_cli_ablation_grid(tmp_path, monkeypatch, capsys):
     assert run_cli("sweep", "--grid", os.path.join(ROOT, "grids", "ablation.json"),
                    "--spec", spec, "--seeds", "0,1", "--out", out, "--p-th", 0.7,
                    "--source-epochs", 6, "--adapt-epochs", 2) == 0
-    assert len(calls) == 2  # one source model per seed, shared by every mode
+    assert sorted(c.seed for c in calls) == [0, 1]  # one source model per seed, for every mode
     with open(out / "sweep.csv", newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -392,6 +392,56 @@ def test_sweep_records_a_failed_run_and_goes_on(tmp_path, capsys):
     assert both[:5] == alone  # the header and seed 0's rows
 
 
+def test_sweep_records_a_failed_source_model_and_goes_on(tmp_path, monkeypatch):
+    # seed 10's source features are inflated until its logits overflow: its
+    # rows carry the error, and the other seeds' rows are those of a sweep
+    # without it
+    prepare = dmapl.trainer.prepare_benchmark
+
+    def inflate_seed_10(spec):
+        bench = prepare(spec)
+        if spec.seed == 10:
+            train = bench.source_train
+            bench.source_train = Dataset(train.features * 1e300, train.labels, train.num_classes)
+        return bench
+
+    monkeypatch.setattr(dmapl.trainer, "prepare_benchmark", inflate_seed_10)
+    spec = tmp_path / "spec.txt"
+    spec.write_text("samples_per_class = 60\n")
+
+    def run(seeds):
+        out = tmp_path / seeds
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("sweep", "--grid", os.path.join(ROOT, "grids", "ablation.json"),
+                           "--spec", spec, "--seeds", seeds, "--out", out, "--p-th", 0.7,
+                           "--source-epochs", 4, "--adapt-epochs", 1)
+        with open(out / "sweep.csv", newline="") as fh:
+            return code, fh.read().splitlines(keepends=True)
+
+    code, lines = run("0,10,20")
+    assert code == 0  # no cell failed on every seed
+    assert [line.split(",")[-2] for line in lines[5:9]] == ["10"] * 4
+    assert all(",,,10,non-finite" in line for line in lines[5:9])
+    assert run("0,20") == (0, lines[:5] + lines[9:])
+
+
+def test_sweep_checks_each_grid_cell_once(tmp_path, monkeypatch):
+    checked, built = [], []
+    grid_cells, cell_config = dmapl.cli._grid_cells, dmapl.trainer._cell_config
+    monkeypatch.setattr(dmapl.cli, "_grid_cells",
+                        lambda *a: checked.append(a) or grid_cells(*a))
+    monkeypatch.setattr(dmapl.trainer, "_cell_config",
+                        lambda *a: built.append(a) or cell_config(*a))
+    spec = tmp_path / "spec.txt"
+    spec.write_text("samples_per_class = 20\n")
+    run_cli("sweep", "--grid", os.path.join(ROOT, "grids", "hyperparameters.json"), "--spec",
+            spec, "--seeds", "0,1", "--out", tmp_path / "out", "--source-epochs", 1,
+            "--adapt-epochs", 1)
+    assert len(checked) == 1
+    assert len(built) == 16  # the 16 cells of the paper grids, whatever the seed count
+    assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 1 + 2 * 16
+
+
 def test_adapt_config_with_removed_encoder_lr_scale_key_fails(data_dir, source_dir, tmp_path,
                                                                capsys):
     cfg = tmp_path / "old.txt"
@@ -418,16 +468,17 @@ def test_adapt_records_the_architecture_of_its_model_file(data_dir, tmp_path):
 
 
 def counting_train_source(monkeypatch, pass_through=False):
-    """Record every `dmapl.trainer.train_source` call; without `pass_through`
-    a call fails the test."""
+    """Record the config of every cell that `dmapl.trainer.train_source`
+    trains, one entry per cell of a stacked call; without `pass_through` a
+    call fails the test."""
     calls = []
     train_source = dmapl.trainer.train_source
 
-    def counted(*args, **kwargs):
-        calls.append(args)
+    def counted(train, val, config):
+        calls.extend(config if isinstance(config, list) else [config])
         if not pass_through:
             raise AssertionError("train_source ran before the arguments were checked")
-        return train_source(*args, **kwargs)
+        return train_source(train, val, config)
 
     monkeypatch.setattr(dmapl.trainer, "train_source", counted)
     return calls
@@ -503,6 +554,10 @@ BAD_INPUTS = {
     "adapt-unlabeled-ground-truth": (*ADAPT, "--ground-truth", "@data"),
     "adapt-hidden-flag-not-the-model-s": (*ADAPT, "--hidden-dims", "32,16"),
     "adapt-bottleneck-file-not-the-model-s": (*ADAPT, "--config", "bottleneck_dim = 5"),
+    "sweep-config-removed-key": ("sweep", "--grid", {"alpha": [0.5]}, "--config", "eta_0 = 1"),
+    "gen-data-spec-rotation": ("gen-data", "--spec", "shift_rotation_deg = 400"),
+    "sweep-flag-alpha-with-config": ("sweep", "--grid", {"alpha": [0.5]}, "--config",
+                                     "adapt_epochs = 1", "--alpha", 2),
 }
 # what the error of a row must say, "{name}" standing for the path of "@name"
 BAD_INPUT_ERRORS = {
@@ -525,6 +580,9 @@ BAD_INPUT_ERRORS = {
                                           "{model}, which has (64,)"),
     "adapt-bottleneck-file-not-the-model-s": ("bottleneck_dim = 5 disagrees with the model file "
                                               "{model}, which has 8"),
+    "sweep-config-removed-key": "error: {flat}: unknown config keys: ['eta_0']",
+    "gen-data-spec-rotation": "error: {flat}: shift_rotation_deg must be in [0, 360)",
+    "sweep-flag-alpha-with-config": "error: alpha must be in (0, 1)",  # the flag's, not the file's
 }
 
 

@@ -151,3 +151,17 @@ def test_stacked_losses_equal_per_cell_losses(cells):
         np.testing.assert_array_equal(loss_u[one], single_u)
         np.testing.assert_array_equal(g_l[one], single_g_l)
         np.testing.assert_array_equal(g_u[one], single_g_u)
+
+
+def test_per_cell_labels_equal_one_cell_calls():
+    # (K, n) labels give each cell the loss and gradient of its own labels
+    rng = make_rng(22)
+    probs = softmax(rng.normal(size=(3, 90, 4)))[:, 40:]
+    labels = rng.integers(0, 4, size=(3, 50))
+    loss, grad = labeled_ce(probs, labels)
+    for k in range(3):
+        one_loss, one_grad = labeled_ce(probs[k:k + 1], labels[k])
+        np.testing.assert_array_equal(loss[k:k + 1], one_loss)
+        np.testing.assert_array_equal(grad[k:k + 1], one_grad)
+    with pytest.raises(ValueError, match="align"):
+        labeled_ce(probs, labels[:2])

@@ -253,6 +253,29 @@ def test_update_equals_the_one_hot_blend_bit_for_bit():
             np.testing.assert_array_equal(store.q, q)
 
 
+def test_update_equals_the_take_and_put_formula_bit_for_bit():
+    # the gather, add and scatter along the class axis that the update ran
+    # before its one fancy-index add, on the masked-cell sequence above
+    rng = make_rng(14)
+    for betas in ([0.9], [0.3, 0.9, 0.99]):
+        store = SoftLabelStore(10, 4, betas)
+        q = np.zeros(store.q.shape)
+        beta = np.asarray(betas)[:, None, None]
+        for _ in range(200):
+            idx = rng.integers(0, 10, size=int(rng.integers(0, 8)))
+            cells = rng.random(len(betas)) < 0.6 if rng.random() < 0.5 else None
+            b, rows = beta, (slice(None), idx)
+            if cells is not None:
+                b, rows = beta[cells], np.ix_(np.flatnonzero(cells), idx)
+            y = rng.integers(0, 4, size=q[rows].shape[:-1])
+            block = q[rows] * b
+            at = y[..., None]
+            np.put_along_axis(block, at, np.take_along_axis(block, at, -1) + (1.0 - b), -1)
+            q[rows] = block
+            store.update(idx, y, cells)
+            np.testing.assert_array_equal(store.q.view(np.int64), q.view(np.int64))
+
+
 def test_recurrence_equals_closed_form():
     # q_t = (1 - beta) sum_s beta^{t-s} onehot_s, recomputed from the history
     rng = make_rng(4)

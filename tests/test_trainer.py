@@ -1,3 +1,4 @@
+import concurrent.futures
 import inspect
 import json
 from dataclasses import replace
@@ -5,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dmapl.datasets import DomainShiftSpec
+from dmapl import trainer
+from dmapl.datasets import Dataset, DomainShiftSpec
 from dmapl.evaluation import evaluate
 from dmapl.model import DivergenceError, Model, SgdMomentum
 from dmapl.splitter import split_target
@@ -350,7 +352,7 @@ def test_sweep_list_of_grids_matches_single_grid_calls(monkeypatch):
               for row in sweep(spec, config, grid, seeds=[seed])]
     calls = counting_train_source(monkeypatch, pass_through=True)
     assert sweep(spec, config, grids, seeds=[0, 1]) == single
-    assert len(calls) == 2
+    assert sorted(c.seed for c in calls) == [0, 1]
 
 
 def test_sweep_parallel_matches_sequential():
@@ -360,3 +362,106 @@ def test_sweep_parallel_matches_sequential():
     seq = sweep(spec, config, grid, seeds=[0, 1], jobs=1)
     par = sweep(spec, config, grid, seeds=[0, 1], jobs=2)
     assert seq == par
+
+
+# ---- stacked source training ----
+
+def inflated(data, factor=1e300):
+    """The dataset with its features scaled until a model's logits overflow."""
+    return Dataset(data.features * factor, data.labels, data.num_classes)
+
+
+def test_train_source_list_equals_solo_runs():
+    # three seeds with their own data train in one stack; each cell keeps
+    # its own rng, validation and best checkpoint
+    benches = [prepare_benchmark(DomainShiftSpec(seed=s, samples_per_class=FAST["samples"]))
+               for s in (3, 4, 5)]
+    configs = [TrainConfig(seed=s, source_epochs=FAST["source_epochs"]) for s in (3, 4, 5)]
+    solo = [train_source(b.source_train, b.source_val, c) for b, c in zip(benches, configs)]
+    stacked = train_source([b.source_train for b in benches], [b.source_val for b in benches],
+                           configs)
+    for (model, record), (one_model, one_record) in zip(stacked, solo, strict=True):
+        np.testing.assert_array_equal(model.flat.view(np.int64), one_model.flat.view(np.int64))
+        assert record.epoch_lines() == one_record.epoch_lines()
+        assert record.final["best_val_micro"] == one_record.final["best_val_micro"]
+        assert record.summary_json() == one_record.summary_json()
+    # some cell's validation accuracy ties or falls, so the later-epoch rule is exercised
+    accs = [[e["val_micro"] for e in record.epochs] for _, record in solo]
+    assert any(acc[i] <= max(acc[:i]) for acc in accs for i in range(1, len(acc)))
+
+
+def test_train_source_list_drops_a_diverging_run():
+    benches = [prepare_benchmark(DomainShiftSpec(seed=s, samples_per_class=60)) for s in (0, 1)]
+    configs = [TrainConfig(seed=s, source_epochs=3) for s in (0, 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed, kept = train_source([inflated(benches[0].source_train), benches[1].source_train],
+                                    [b.source_val for b in benches], configs)
+    assert isinstance(failed, DivergenceError)
+    model, record = train_source(benches[1].source_train, benches[1].source_val, configs[1])
+    np.testing.assert_array_equal(kept[0].flat, model.flat)
+    assert kept[1].epoch_lines() == record.epoch_lines()
+
+
+def test_train_source_list_rejects_runs_that_cannot_stack():
+    bench = prepare_benchmark(DomainShiftSpec(samples_per_class=60))
+    small = prepare_benchmark(DomainShiftSpec(samples_per_class=30))
+    config = TrainConfig(source_epochs=1)
+    for trains, vals, configs in (
+            ([bench.source_train, small.source_train], [bench.source_val, small.source_val],
+             [config, config]),
+            ([bench.source_train] * 2, [bench.source_val] * 2,
+             [config, replace(config, source_epochs=2)])):
+        with pytest.raises(ValueError, match="must share the architecture"):
+            train_source(trains, vals, configs)
+
+
+def test_sweep_caps_the_process_pool_at_the_number_of_shares(monkeypatch):
+    # a stub executor: records its size and runs the shares in this process
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    spec = DomainShiftSpec(samples_per_class=20)
+    config = TrainConfig(source_epochs=1, adapt_epochs=1, p_th=0.5)
+    rows = sweep(spec, config, {"alpha": [0.5]}, seeds=[0, 1, 2], jobs=64)
+    assert sizes == [3]
+    assert rows == sweep(spec, config, {"alpha": [0.5]}, seeds=[0, 1, 2], jobs=1)
+    assert sizes == [3]  # one share runs in this process
+    sweep(spec, config, {"alpha": [0.5]}, seeds=[0, 1, 2], jobs=2)
+    assert sizes == [3, 2]
+
+
+def test_sweep_stacks_at_most_stack_seeds_source_models(monkeypatch):
+    spec = DomainShiftSpec(samples_per_class=20)
+    config = TrainConfig(source_epochs=1, adapt_epochs=1, p_th=0.5)
+    whole = sweep(spec, config, {"alpha": [0.5]}, seeds=[0, 1, 2, 3, 4])
+    stacks = []
+    train_source = trainer.train_source
+
+    def recorded(train, val, configs):
+        stacks.append([c.seed for c in configs])
+        return train_source(train, val, configs)
+
+    monkeypatch.setattr(trainer, "train_source", recorded)
+    monkeypatch.setattr(trainer, "STACK_SEEDS", 2)
+    assert sweep(spec, config, {"alpha": [0.5]}, seeds=[0, 1, 2, 3, 4]) == whole
+    assert stacks == [[0], [1, 2], [3, 4]]
+
+
+def test_train_source_rejects_an_empty_validation_set():
+    bench = prepare_benchmark(DomainShiftSpec(samples_per_class=30))
+    with pytest.raises(ValueError, match="validation set is empty"):
+        train_source(bench.source_train, bench.source_val.subset(np.arange(0)),
+                     TrainConfig(source_epochs=1))
