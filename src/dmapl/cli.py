@@ -21,11 +21,11 @@ import os
 import statistics
 import sys
 
-from .configio import (ConfigError, format_flat_config, settings_from_sources,
-                       shift_spec_from_sources, train_config_from_sources)
+from .configio import (ConfigError, _from_sources, format_flat_config, shift_spec_from_sources,
+                       train_config_from_sources)
 from .datasets import load_csv, save_csv
 from .evaluation import evaluate, format_metrics_table
-from .model import load_model, save_model
+from .model import ModelConfig, load_model, save_model
 from .numkit import DmaplError
 from .splitter import save_split_csv, split_diagnostics, split_target
 from .trainer import (MODES, SPLIT_RATIO, VAL_FRACTION, TrainConfig, _grid_cells, _run_sweep,
@@ -70,11 +70,13 @@ def _overrides(args: argparse.Namespace) -> dict:
     return {key: getattr(args, key) for key in TrainConfig().to_dict()}
 
 
-def _load_target_train(args: argparse.Namespace, num_classes: int):
+def _load_target_train(args: argparse.Namespace, arch: ModelConfig):
     """The unlabeled `--target-train` rows, and the labels of `--ground-truth`
-    (None without it), which must hold one per row."""
-    target = load_csv(args.target_train, num_classes=num_classes).without_labels()
-    truth = load_csv(args.ground_truth, num_classes=num_classes) if args.ground_truth else None
+    (None without it), which must hold one per row; both files must fit the
+    model architecture `arch`."""
+    target = load_csv(args.target_train, arch.num_classes, arch.input_dim).without_labels()
+    truth = (load_csv(args.ground_truth, arch.num_classes, arch.input_dim)
+             if args.ground_truth else None)
     if truth is not None and (not truth.is_labeled or truth.n != target.n):
         raise ValueError(f"{args.ground_truth} has {truth.n} "
                          f"{'' if truth.is_labeled else 'un'}labeled rows; it needs a label for "
@@ -113,7 +115,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train_source(args: argparse.Namespace) -> int:
     config = train_config_from_sources(args.config, _overrides(args))
     train = load_csv(args.train)
-    val = load_csv(args.val, num_classes=train.num_classes)
+    val = load_csv(args.val, train.num_classes, train.dim)
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, config.to_dict())
     model, record = train_source(train, val, config)
@@ -126,7 +128,7 @@ def cmd_train_source(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    data, truth = _load_target_train(args, model.config.num_classes)
+    data, truth = _load_target_train(args, model.config)
     result = split_target(model, data, args.p_th)
     diag = split_diagnostics(result, truth)
     _prepare_out_dir(args.out, args.force)
@@ -141,15 +143,19 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 def cmd_adapt(args: argparse.Namespace) -> int:
     source_model = load_model(args.source_model)
-    settings = settings_from_sources(args.config, _overrides(args))
-    for key in ("hidden_dims", "bottleneck_dim"):  # the model file fixes the architecture
-        used = getattr(source_model.config, key)
-        if settings.setdefault(key, used) != used:
-            raise ConfigError(f"{key} = {settings[key]!r} disagrees with the model file "
-                              f"{args.source_model}, which has {used!r}")
-    config = train_config_from_sources(None, settings)
-    target_train, truth = _load_target_train(args, source_model.config.num_classes)
-    eval_data = (load_csv(args.target_test, num_classes=source_model.config.num_classes)
+    arch = source_model.config
+
+    def config_of(settings: dict) -> TrainConfig:
+        for key in ("hidden_dims", "bottleneck_dim"):  # the model file fixes the architecture
+            used = getattr(arch, key)
+            if settings.setdefault(key, used) != used:
+                raise ValueError(f"{key} = {settings[key]!r} disagrees with the model file "
+                                 f"{args.source_model}, which has {used!r}")
+        return TrainConfig.from_dict(settings)
+
+    config = _from_sources(args.config, _overrides(args), config_of)
+    target_train, truth = _load_target_train(args, arch)
+    eval_data = (load_csv(args.target_test, arch.num_classes, arch.input_dim)
                  if args.target_test else None)
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, config.to_dict())
@@ -170,7 +176,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    test = load_csv(args.test, num_classes=model.config.num_classes)
+    test = load_csv(args.test, model.config.num_classes, model.config.input_dim)
     if args.out:
         _prepare_out_dir(args.out, args.force)
     metrics = evaluate(model, test)

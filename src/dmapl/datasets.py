@@ -216,11 +216,13 @@ def save_csv(data: Dataset, path: str) -> None:
     textio.write_csv(path, header, columns, formats)
 
 
-def load_csv(path: str, num_classes: int | None = None) -> Dataset:
+def load_csv(path: str, num_classes: int | None = None,
+             feature_dim: int | None = None) -> Dataset:
     """Load a dataset CSV written by save_csv (or hand-made in that format).
 
     With `num_classes` given, labels are validated against it; otherwise the
-    class count is inferred as max(label)+1 (0 for unlabeled files). Empty
+    class count is inferred as max(label)+1 (0 for unlabeled files). With
+    `feature_dim` given, the header must declare that many features. Empty
     lines are skipped. Any other malformed input (a ragged row, a feature
     that is not a finite number, a label that is not an integer in range)
     raises CsvFormatError naming the file and the line.
@@ -241,6 +243,9 @@ def load_csv(path: str, num_classes: int | None = None) -> Dataset:
     dim = len(header) - (1 if has_label else 0)
     if dim < 1:
         raise CsvFormatError(f"{path}: header declares no feature columns")
+    if feature_dim is not None and dim != feature_dim:
+        raise CsvFormatError(f"{path}: line 1: header declares {dim} feature columns, "
+                             f"expected {feature_dim}")
     body = lines[1:]
     columns = [(np.float64, dim)] + ([(np.int64, 1)] if has_label else [])
     try:

@@ -46,18 +46,6 @@ class ModelConfig:
         if any(d < 1 for d in dims):
             raise ValueError("all layer dims must be >= 1")
 
-    def param_shapes(self) -> dict[str, tuple[int, int]]:
-        """Name -> (rows, cols) of every parameter, in declared order: per
-        layer (encoder layers, bottleneck, classifier) a (fan_in, fan_out)
-        weight `<layer>.W` and a one-row (1, fan_out) bias `<layer>.b`."""
-        dims = (self.input_dim, *self.hidden_dims, self.bottleneck_dim, self.num_classes)
-        layers = [f"enc{i}" for i in range(len(self.hidden_dims))] + ["bottleneck", "classifier"]
-        shapes: dict[str, tuple[int, int]] = {}
-        for layer, fan_in, fan_out in zip(layers, dims, dims[1:]):
-            shapes[f"{layer}.W"] = (fan_in, fan_out)
-            shapes[f"{layer}.b"] = (1, fan_out)
-        return shapes
-
 
 def _glorot(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -67,11 +55,16 @@ def _glorot(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _layout(config: ModelConfig) -> tuple[tuple[str, int, int, tuple[int, int]], ...]:
     """(name, start, stop, (rows, cols)) of every parameter in a cell's row of
-    `flat`, in declared order; a model file holds the blocks in this order."""
+    `flat`, in declared order: per layer (encoder layers, bottleneck,
+    classifier) a (fan_in, fan_out) weight `<layer>.W` and a one-row
+    (1, fan_out) bias `<layer>.b`. A model file holds the blocks in this order."""
+    dims = (config.input_dim, *config.hidden_dims, config.bottleneck_dim, config.num_classes)
+    layers = [f"enc{i}" for i in range(len(config.hidden_dims))] + ["bottleneck", "classifier"]
     layout, start = [], 0
-    for name, shape in config.param_shapes().items():
-        layout.append((name, start, start + math.prod(shape), shape))
-        start += math.prod(shape)
+    for layer, fan_in, fan_out in zip(layers, dims, dims[1:]):
+        for name, shape in ((f"{layer}.W", (fan_in, fan_out)), (f"{layer}.b", (1, fan_out))):
+            layout.append((name, start, start + math.prod(shape), shape))
+            start += math.prod(shape)
     return tuple(layout)
 
 
@@ -178,7 +171,7 @@ class Model:
         logits = features @ w_classifier
         logits += b_classifier
         try:
-            probs = softmax(logits, axis=-1)
+            probs = softmax(logits)
         except ValueError:
             # softmax refuses non-finite logits; only then find the cells
             finite = np.isfinite(logits)
@@ -219,6 +212,13 @@ class Model:
         return self.forward(batch).logits.argmax(axis=-1)
 
 
+# the optimizer recipe of every training phase
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-3  # on weight matrices only
+ETA_0 = 1e-2  # learning rate at the first step
+ETA_1 = 1e-3  # learning rate at the schedule's end
+
+
 def cosine_lr(t: int, total_steps: int, eta_0: float, eta_1: float) -> float:
     """eta_1 + 0.5 (eta_0 - eta_1)(1 + cos(t pi / N)); every t >= N gives eta_1."""
     if total_steps < 1:
@@ -238,29 +238,24 @@ def cosine_lr(t: int, total_steps: int, eta_0: float, eta_1: float) -> float:
 class SgdMomentum:
     """SGD with momentum, decoupled weight decay on weights, cosine LR schedule.
 
-    velocity <- momentum * velocity + (grad + weight_decay * param)
-    param    <- param - lr(t) * velocity
+    velocity <- MOMENTUM * velocity + (grad + WEIGHT_DECAY * param)
+    param    <- param - lr(t) * velocity,  lr running from ETA_0 to ETA_1
 
-    The defaults are the training recipe of every phase in `dmapl.trainer`.
+    This is the training recipe of every phase in `dmapl.trainer`.
 
-    Velocity and weight decay are (K, P) arrays laid out like `Model.flat`,
-    so the update broadcasts nothing.
+    `velocity` and the weight-decay mask are (K, P) arrays laid out like
+    `Model.flat`, so the update broadcasts nothing.
     """
 
-    def __init__(self, model: Model, momentum: float = 0.9, weight_decay: float = 1e-3,
-                 eta_0: float = 1e-2, eta_1: float = 1e-3, total_steps: int = 1):
-        self.momentum = momentum
-        self.eta_0 = eta_0
-        self.eta_1 = eta_1
+    def __init__(self, model: Model, total_steps: int):
         self.total_steps = total_steps
-        self._velocity, self._scratch = np.zeros_like(model.flat), np.empty_like(model.flat)
-        self.velocity = _views(self._velocity, model.config)
+        self.velocity, self._scratch = np.zeros_like(model.flat), np.empty_like(model.flat)
         self._decay = np.zeros_like(model.flat)
         for name, start, stop, _ in _layout(model.config):
-            self._decay[:, start:stop] = weight_decay if name.endswith(".W") else 0.0
+            self._decay[:, start:stop] = WEIGHT_DECAY if name.endswith(".W") else 0.0
 
     def lr_at(self, t: int) -> float:
-        return cosine_lr(t, self.total_steps, self.eta_0, self.eta_1)
+        return cosine_lr(t, self.total_steps, ETA_0, ETA_1)
 
     def step(self, model: Model, grads: Gradients, t: int) -> None:
         """One update of every parameter from `Model.backward`'s gradients.
@@ -275,11 +270,11 @@ class SgdMomentum:
                     raise DivergenceError(f"divergence detected in parameter block '{name}'",
                                           ~finite.all(axis=(1, 2)))
         lr = self.lr_at(t)
-        # velocity = momentum * velocity + (grad + decay * param); param -= lr * velocity
-        buf, velocity = self._scratch, self._velocity
+        # velocity = MOMENTUM * velocity + (grad + decay * param); param -= lr * velocity
+        buf, velocity = self._scratch, self.velocity
         np.multiply(self._decay, model.flat, out=buf)
         buf += g
-        velocity *= self.momentum
+        velocity *= MOMENTUM
         velocity += buf
         np.multiply(velocity, lr, out=buf)
         model.flat -= buf

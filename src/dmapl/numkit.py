@@ -26,18 +26,18 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax (max-subtraction) along `axis`.
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Stable softmax (max-subtraction) along the last axis.
 
-    Raises ValueError on an empty axis or non-finite input.
+    Raises ValueError on an empty last axis or non-finite input.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim == 0 or z.shape[axis] == 0:
+    if z.ndim == 0 or z.shape[-1] == 0:
         raise ValueError("empty logits")
     if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError("non-finite logits")
-    e = np.exp(z - np.maximum.reduce(z, axis=axis, keepdims=True))
-    return e / np.add.reduce(e, axis=axis, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:

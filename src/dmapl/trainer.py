@@ -40,7 +40,7 @@ class TrainConfig:
     """What a run varies. Defaults are the reference values: threshold 0.9,
     both moving-average coefficients 0.9, trade-off 1.0, 20 epochs for either
     phase. The optimizer and batch size are a fixed recipe, not config:
-    `SgdMomentum`'s defaults and `BATCH_SIZE`.
+    `model.MOMENTUM`, `WEIGHT_DECAY`, `ETA_0` and `ETA_1`, and `BATCH_SIZE`.
     """
 
     p_th: float = 0.9
@@ -250,6 +250,8 @@ def train_source(source_train: Dataset | list[Dataset], source_val: Dataset | li
             raise ValueError("source datasets must be labeled")
         if train.num_classes != val.num_classes:
             raise ValueError("train and validation class counts differ")
+        if train.dim != val.dim:
+            raise ValueError("train and validation feature counts differ")
         if not val.n:
             raise ValueError("validation set is empty")
     if len({(c.hidden_dims, c.bottleneck_dim, c.source_epochs, t.dim, t.num_classes, t.n, v.n)
@@ -559,28 +561,17 @@ def _experiment(bench: Benchmark, seed: int, configs: list[TrainConfig], source_
     return outcomes
 
 
-def run_experiment(spec: DomainShiftSpec, config: TrainConfig | list[TrainConfig]) -> dict | list:
+def run_experiment(spec: DomainShiftSpec, config: TrainConfig) -> dict:
     """Full pipeline on one benchmark seed: pre-train, adapt per config.mode,
-    evaluate source-only and adapted models on the target test set.
-
-    Returns the result dict. `config` may also be a list of configs that
-    differ only in mode, p_th, alpha, beta and lambda, which never reach
-    source training; the result is then a list holding, per config, its dict
-    or the DmaplError its run raised, each bit-identical to the run of that
-    config alone. The benchmark, the source model and its evaluation are
-    made once, and an error there is raised; configs with one
-    `_lockstep_key` adapt together.
-    """
-    configs = [config] if isinstance(config, TrainConfig) else list(config)
-    if not configs:
-        raise ValueError("no configs to run")
-    if len({replace(_lockstep_key(c), mode=MODES[0], p_th=0.5) for c in configs}) > 1:
-        raise ValueError("configs run together may differ only in mode, p_th, alpha, beta "
-                         "and lambda")
+    evaluate source-only and adapted models on the target test set. Returns
+    the result dict. Several configs of one seed run as a `sweep`, which
+    trains their source model once."""
+    if not isinstance(config, TrainConfig):
+        raise TypeError(f"run_experiment takes one TrainConfig, got {type(config).__name__}; "
+                        "several configs of a seed run as a sweep")
     bench = prepare_benchmark(spec)
-    outcomes = _experiment(bench, spec.seed, configs,
-                           *train_source(bench.source_train, bench.source_val, configs[0]))
-    return _unwrap(outcomes[0]) if isinstance(config, TrainConfig) else outcomes
+    source = train_source(bench.source_train, bench.source_val, config)
+    return _unwrap(_experiment(bench, spec.seed, [config], *source)[0])
 
 
 SWEEPABLE = ("mode", "p_th", "alpha", "beta", "lambda")

@@ -558,6 +558,12 @@ BAD_INPUTS = {
     "gen-data-spec-rotation": ("gen-data", "--spec", "shift_rotation_deg = 400"),
     "sweep-flag-alpha-with-config": ("sweep", "--grid", {"alpha": [0.5]}, "--config",
                                      "adapt_epochs = 1", "--alpha", 2),
+    "adapt-config-removed-key": (*ADAPT, "--config", "eta_0 = 1"),
+    "adapt-config-bad-alpha": (*ADAPT, "--config", "alpha = 2"),
+    "train-source-wide-val": ("train-source", "--train", "@source", "--val", "@wide"),
+    "split-wide-target": ("split", "--model", "@model", "--target-train", "@wide"),
+    "adapt-wide-target": ("adapt", "--source-model", "@model", "--target-train", "@wide"),
+    "eval-wide-test": ("eval", "--model", "@model", "--test", "@wide"),
 }
 # what the error of a row must say, "{name}" standing for the path of "@name"
 BAD_INPUT_ERRORS = {
@@ -583,6 +589,11 @@ BAD_INPUT_ERRORS = {
     "sweep-config-removed-key": "error: {flat}: unknown config keys: ['eta_0']",
     "gen-data-spec-rotation": "error: {flat}: shift_rotation_deg must be in [0, 360)",
     "sweep-flag-alpha-with-config": "error: alpha must be in (0, 1)",  # the flag's, not the file's
+    "adapt-config-removed-key": "error: {flat}: unknown config keys: ['eta_0']",
+    "adapt-config-bad-alpha": "error: {flat}: alpha must be in (0, 1)",
+    **dict.fromkeys(["train-source-wide-val", "split-wide-target", "adapt-wide-target",
+                     "eval-wide-test"],
+                    "error: {wide}: line 1: header declares 3 feature columns, expected 2"),
 }
 
 
@@ -599,14 +610,24 @@ def truth_files(data_dir, tmp_path_factory):
     return {"@short-truth": out / "short.csv", "@long-truth": out / "long.csv"}
 
 
+@pytest.fixture(scope="module")
+def wide_file(data_dir, tmp_path_factory):
+    """The target test set with a third, all-zero feature column."""
+    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    test = load_csv(str(data_dir / "target_test.csv"))
+    save_csv(Dataset(np.pad(test.features, ((0, 0), (0, 1))), test.labels, test.num_classes),
+             str(path))
+    return {"@wide": path}
+
+
 @pytest.mark.parametrize("name", BAD_INPUTS)
-def test_bad_input_fails_before_out_is_made(name, data_dir, source_dir, truth_files, tmp_path,
-                                            monkeypatch, capsys):
+def test_bad_input_fails_before_out_is_made(name, data_dir, source_dir, truth_files, wide_file,
+                                            tmp_path, monkeypatch, capsys):
     calls = counting_train_source(monkeypatch)
     grid, flat = tmp_path / "grid.json", tmp_path / "flat.txt"
     paths = {"@model": source_dir / "source_model.txt", "@data": data_dir / "target_train.csv",
              "@source": data_dir / "source_train.csv", "@missing": tmp_path / "missing.csv",
-             "@flat": flat, **truth_files}
+             "@flat": flat, **truth_files, **wide_file}
     argv = []
     for arg in BAD_INPUTS[name]:
         if isinstance(arg, (dict, list)):

@@ -153,6 +153,10 @@ def test_csv_errors_name_the_line(tmp_path):
     bad.write_text("f0,f1\n1.0,abc\n")
     with pytest.raises(CsvFormatError, match="line 2.*non-numeric"):
         load_csv(str(bad))
+    # the header's feature count is checked before any row is parsed
+    with pytest.raises(CsvFormatError, match="bad.csv: line 1: header declares 2 feature "
+                                             "columns, expected 3"):
+        load_csv(str(bad), feature_dim=3)
 
     out_of_range = tmp_path / "range.csv"
     out_of_range.write_text("f0,label\n1.0,5\n")

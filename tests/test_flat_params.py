@@ -112,18 +112,18 @@ def test_nonfinite_gradient_raises_under_python_O():
         assert False, "run with -O"  # stripped by -O, so the rest runs
         config = ModelConfig(3, (5,), 2, 3)
         stacked = Model.stack([Model.init(config, make_rng(s)) for s in range(3)])
-        opt = SgdMomentum(stacked, total_steps=10)
+        opt = SgdMomentum(stacked, 10)
         x = make_rng(1).normal(size=(4, 3))
         for cell in (2, 0):
             grads = stacked.backward(stacked.forward(x), np.ones((3, 4, 3)))
             grads["enc0.b"][cell, 0, 1] = np.inf
-            before = (stacked.flat.copy(), opt.velocity["enc0.W"].copy())
+            before = (stacked.flat.copy(), opt.velocity.copy())
             try:
                 opt.step(stacked, grads, 0)
                 print("no error")
             except DivergenceError as exc:
                 moved = not (np.array_equal(before[0], stacked.flat)
-                             and np.array_equal(before[1], opt.velocity["enc0.W"]))
+                             and np.array_equal(before[1], opt.velocity))
                 print(exc, exc.cells.tolist(), "moved" if moved else "still")
     """)
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))

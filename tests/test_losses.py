@@ -136,7 +136,7 @@ def test_stacked_losses_equal_per_cell_losses(cells):
     # 40 rows, so the batch means sum pairwise; the inputs are views and
     # gathers of larger stacks, as in the adaptation loop
     rng = make_rng(21)
-    probs = softmax(rng.normal(size=(cells, 80, 4)), axis=-1)[:, 40:]
+    probs = softmax(rng.normal(size=(cells, 80, 4)))[:, 40:]
     labels = rng.integers(0, 4, size=40)
     q = (rng.random((cells, 100, 4)) * 0.5)[:, rng.permutation(100)[:40]]
     loss_l, g_l = labeled_ce(probs, labels)

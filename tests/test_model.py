@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dmapl.model import (DivergenceError, Gradients, Model, ModelConfig, ModelFormatError,
-                         SgdMomentum, cosine_lr, load_model, save_model)
+from dmapl.model import (ETA_0, ETA_1, MOMENTUM, WEIGHT_DECAY, DivergenceError, Gradients, Model,
+                         ModelConfig, ModelFormatError, SgdMomentum, _layout, cosine_lr, load_model,
+                         save_model)
 from dmapl.numkit import make_rng, softmax
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -93,7 +94,7 @@ def test_forward_matches_straight_line_reimplementation():
     cache = model.forward(x)
     assert rel_err(cache.features, feats) < 1e-12
     assert rel_err(cache.logits, logits) < 1e-12
-    np.testing.assert_allclose(cache.probs, softmax(logits, axis=-1), atol=1e-12)
+    np.testing.assert_allclose(cache.probs, softmax(logits), atol=1e-12)
 
 
 def test_forward_shape_mismatch_errors():
@@ -149,55 +150,74 @@ def test_cosine_lr_validation():
         cosine_lr(0, 10, 1e-3, 1e-2)
 
 
+def decay_mask(model):
+    """WEIGHT_DECAY on every weight entry of `flat`, 0 on every bias entry."""
+    return np.concatenate([np.full(stop - start, WEIGHT_DECAY if name.endswith(".W") else 0.0)
+                           for name, start, stop, _ in _layout(model.config)])
+
+
 def test_sgd_plain_gradient_descent():
+    # step 0 starts from zero velocity at rate ETA_0: a bias row moves by
+    # ETA_0 * g, a weight row by ETA_0 * (g + WEIGHT_DECAY * w)
     model = small_model()
-    opt = SgdMomentum(model, momentum=0.0, weight_decay=0.0,
-                      eta_0=0.1, eta_1=0.1, total_steps=10)
     before = {k: v.copy() for k, v in model.params.items()}
-    opt.step(model, filled_grads(model, 1.0), 0)
+    grads = Gradients(make_rng(2).normal(size=model.flat.shape), model.config)
+    opt = SgdMomentum(model, 10)
+    opt.step(model, grads, 0)
     for k in model.params:
-        np.testing.assert_allclose(model.params[k], before[k] - 0.1, atol=1e-15)
+        if k.endswith(".W"):
+            expected = before[k] - ETA_0 * (grads[k] + WEIGHT_DECAY * before[k])
+        else:
+            expected = before[k] - ETA_0 * grads[k]
+        np.testing.assert_array_equal(model.params[k], expected)
 
 
 def test_sgd_momentum_two_steps_velocity():
     model = small_model()
-    opt = SgdMomentum(model, momentum=0.9, weight_decay=0.0,
-                      eta_0=0.01, eta_1=0.01, total_steps=10)
+    w0 = model.flat.copy()
+    opt = SgdMomentum(model, 10)
     grads = filled_grads(model, 2.0)
     opt.step(model, grads, 0)
     opt.step(model, grads, 1)
-    # v1 = g, v2 = 0.9 g + g = 1.9 g
-    for v in opt.velocity.values():
-        np.testing.assert_allclose(v, 1.9 * 2.0, atol=1e-15)
+    # v1 = g + decay w0, w1 = w0 - ETA_0 v1; v2 = MOMENTUM v1 + (g + decay w1)
+    decay = decay_mask(model)
+    v1 = 2.0 + decay * w0
+    w1 = w0 - ETA_0 * v1
+    v2 = MOMENTUM * v1 + (2.0 + decay * w1)
+    assert opt.velocity.shape == model.flat.shape
+    np.testing.assert_array_equal(opt.velocity, v2)
+    np.testing.assert_array_equal(model.flat, w1 - cosine_lr(1, 10, ETA_0, ETA_1) * v2)
+    np.testing.assert_array_equal(opt.velocity[:, decay == 0], MOMENTUM * 2.0 + 2.0)
 
 
 def test_sgd_zero_grads_zero_decay_leave_params():
+    # with all-zero weights the decay term is zero too, so zero gradients
+    # leave every parameter and the velocity at zero, step after step
     model = small_model()
-    before = {k: v.copy() for k, v in model.params.items()}
-    opt = SgdMomentum(model, momentum=0.9, weight_decay=0.0,
-                      eta_0=0.01, eta_1=0.01, total_steps=10)
-    opt.step(model, filled_grads(model, 0.0), 0)
-    for k in model.params:
-        np.testing.assert_array_equal(model.params[k], before[k])
+    model.flat[:] = 0.0
+    opt = SgdMomentum(model, 10)
+    for t in range(3):
+        opt.step(model, filled_grads(model, 0.0), t)
+    np.testing.assert_array_equal(model.flat, 0.0)
+    np.testing.assert_array_equal(opt.velocity, 0.0)
 
 
 def test_weight_decay_applies_to_weights_only():
     model = small_model()
     before = {k: v.copy() for k, v in model.params.items()}
-    lr = 0.05
-    opt = SgdMomentum(model, momentum=0.0, weight_decay=1e-3,
-                      eta_0=lr, eta_1=lr, total_steps=10)
+    opt = SgdMomentum(model, 10)
     opt.step(model, filled_grads(model, 0.0), 0)
     for k in model.params:
         if k.endswith(".W"):
-            np.testing.assert_allclose(model.params[k], before[k] * (1 - lr * 1e-3), atol=1e-15)
+            np.testing.assert_array_equal(model.params[k],
+                                          before[k] - ETA_0 * (WEIGHT_DECAY * before[k]))
         else:
             np.testing.assert_array_equal(model.params[k], before[k])
 
 
 def test_sgd_nonfinite_gradient_raises_naming_block():
     model = small_model()
-    opt = SgdMomentum(model, total_steps=10)
+    opt = SgdMomentum(model, 10)
     grads = filled_grads(model, 0.0)
     grads["enc0.W"][0, 0, 0] = np.nan
     with pytest.raises(DivergenceError, match="enc0.W") as info:
@@ -349,7 +369,7 @@ def test_stacked_model_slices_equal_single_models_bit_for_bit():
     g = rng.normal(size=(3, 7, 3))
     cache = stacked.forward(x)
     grads = stacked.backward(cache, g)
-    opt_stacked = SgdMomentum(stacked, 0.9, 1e-3, 0.1, 0.01, 10)
+    opt_stacked = SgdMomentum(stacked, 10)
     opt_stacked.step(stacked, grads, 3)
     for k, model in enumerate(models):
         single = model.forward(x)
@@ -358,7 +378,7 @@ def test_stacked_model_slices_equal_single_models_bit_for_bit():
         single_grads = model.backward(single, g[k:k + 1])
         for name in model.params:
             np.testing.assert_array_equal(grads[name][k:k + 1], single_grads[name])
-        opt = SgdMomentum(model, 0.9, 1e-3, 0.1, 0.01, 10)
+        opt = SgdMomentum(model, 10)
         opt.step(model, single_grads, 3)
         np.testing.assert_array_equal(stacked.cell(k).flat, model.flat)
     np.testing.assert_array_equal(Model.stack([stacked.cell(2), stacked.cell(0)]).flat,
@@ -382,7 +402,7 @@ def test_stacked_sgd_nonfinite_gradient_names_cells_and_moves_nothing():
     grads = filled_grads(stacked, 0.0)
     grads["classifier.W"][1, 0, 0] = np.nan
     with pytest.raises(DivergenceError, match="classifier.W") as info:
-        SgdMomentum(stacked).step(stacked, grads, 0)
+        SgdMomentum(stacked, 1).step(stacked, grads, 0)
     assert info.value.cells.tolist() == [False, True]
     for k in before:
         np.testing.assert_array_equal(stacked.params[k], before[k])

@@ -28,7 +28,7 @@ def test_softmax_hand_value():
 
 def test_softmax_rows():
     logits = np.array([[0.0, 1.0], [3.0, 3.0]])
-    out = softmax(logits, axis=1)
+    out = softmax(logits)
     np.testing.assert_allclose(out.sum(axis=1), [1.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(out[1], [0.5, 0.5], atol=1e-15)
 

@@ -1,5 +1,4 @@
 import concurrent.futures
-import inspect
 import json
 from dataclasses import replace
 
@@ -9,7 +8,7 @@ import pytest
 from dmapl import trainer
 from dmapl.datasets import Dataset, DomainShiftSpec
 from dmapl.evaluation import evaluate
-from dmapl.model import DivergenceError, Model, SgdMomentum
+from dmapl.model import ETA_0, ETA_1, MOMENTUM, WEIGHT_DECAY, DivergenceError, Model
 from dmapl.splitter import split_target
 from dmapl.trainer import (BATCH_SIZE, TrainConfig, adapt, prepare_benchmark, run_experiment,
                            sweep, train_source)
@@ -38,9 +37,7 @@ def test_config_defaults_are_reference_values():
         "p_th", "alpha", "beta", "lam", "source_epochs", "adapt_epochs", "seed", "mode",
         "hidden_dims", "bottleneck_dim"]
     # the optimizer and batch size are one fixed recipe, not config
-    recipe = {name: p.default for name, p in inspect.signature(SgdMomentum).parameters.items()}
-    assert recipe == {"model": inspect.Parameter.empty, "momentum": 0.9, "weight_decay": 1e-3,
-                      "eta_0": 1e-2, "eta_1": 1e-3, "total_steps": 1}
+    assert (MOMENTUM, WEIGHT_DECAY, ETA_0, ETA_1) == (0.9, 1e-3, 1e-2, 1e-3)
     assert BATCH_SIZE == 64
 
 
@@ -253,33 +250,10 @@ def test_run_experiment_pipeline_deterministic():
     assert r1["test_micro"] == r2["test_micro"]
 
 
-def test_run_experiment_list_equals_solo_runs(monkeypatch):
-    spec, config, _ = fast_setup(seed=4)
-    # out of group order, so results must come back per config, not per group
-    configs = [config, replace(config, p_th=0.8), replace(config, mode="source_only"),
-               replace(config, mode="naive_pl"), replace(config, lam=0.5),
-               replace(config, mode="soft_label_no_split")]
-    solo = [run_experiment(spec, c) for c in configs]
-    calls = counting_train_source(monkeypatch, pass_through=True)
-    listed = run_experiment(spec, configs)
-    assert len(calls) == 1
-    assert len(listed) == len(configs)
-    for one, many in zip(solo, listed):
-        assert many["record"].summary_json() == one["record"].summary_json()
-        assert many["record"].epoch_lines() == one["record"].epoch_lines()
-        assert {k: v for k, v in many.items() if k != "record"} == \
-            {k: v for k, v in one.items() if k != "record"}
-
-
-@pytest.mark.parametrize("difference", [{"source_epochs": 3}, {"seed": 1}])
-def test_run_experiment_rejects_configs_that_cannot_share_a_source_model(difference,
-                                                                        monkeypatch):
+def test_run_experiment_rejects_a_list_of_configs(monkeypatch):
     calls = counting_train_source(monkeypatch)
-    config = TrainConfig()
-    with pytest.raises(ValueError, match="may differ only in mode, p_th, alpha, beta"):
-        run_experiment(DomainShiftSpec(), [config, replace(config, **difference)])
-    with pytest.raises(ValueError, match="no configs"):
-        run_experiment(DomainShiftSpec(), [])
+    with pytest.raises(TypeError, match="several configs of a seed run as a sweep"):
+        run_experiment(DomainShiftSpec(), [TrainConfig(), TrainConfig(mode="naive_pl")])
     assert calls == []
 
 
@@ -465,3 +439,11 @@ def test_train_source_rejects_an_empty_validation_set():
     with pytest.raises(ValueError, match="validation set is empty"):
         train_source(bench.source_train, bench.source_val.subset(np.arange(0)),
                      TrainConfig(source_epochs=1))
+
+
+def test_train_source_rejects_validation_features_of_another_width():
+    bench = prepare_benchmark(DomainShiftSpec(samples_per_class=30))
+    val = bench.source_val
+    wide = Dataset(np.pad(val.features, ((0, 0), (0, 1))), val.labels, val.num_classes)
+    with pytest.raises(ValueError, match="train and validation feature counts differ"):
+        train_source(bench.source_train, wide, TrainConfig(source_epochs=1))
