@@ -115,6 +115,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train_source(args: argparse.Namespace) -> int:
     config = train_config_from_sources(args.config, _overrides(args))
     train = load_csv(args.train)
+    if not train.is_labeled:
+        raise ValueError(f"{args.train}: the source training set must be labeled")
     val = load_csv(args.val, train.num_classes, train.dim)
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, config.to_dict())
@@ -177,6 +179,8 @@ def cmd_adapt(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     test = load_csv(args.test, model.config.num_classes, model.config.input_dim)
+    if not test.is_labeled:
+        raise ValueError(f"{args.test}: the test set must be labeled")
     if args.out:
         _prepare_out_dir(args.out, args.force)
     metrics = evaluate(model, test)

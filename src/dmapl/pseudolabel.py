@@ -6,7 +6,8 @@ alpha), and per-instance soft-label vectors averaged over the instance's
 prototypical class assignments (coefficient beta).
 
 Per-instance update counters make the soft-label mass identity testable: after
-t updates the L1 mass of an instance's soft label is exactly 1 - beta^t.
+t updates the L1 mass of an instance's soft label is 1 - beta^t to within
+1e-12 (rounding keeps it from being bit-exact).
 Both keep one independent cell per coefficient, matching the model's cells.
 """
 
@@ -120,9 +121,9 @@ class SoftLabelStore:
 
     q_i <- beta * q_i + (1 - beta) * onehot(y_i) for the assigned class y_i,
     starting from zero (not uniform), with a per-instance update counter t_i.
-    The L1 mass of q_i is then exactly 1 - beta^{t_i}. The store holds one
-    independent cell per value of the (K,) `beta`: q is (K, n, C) and the
-    counters (K, n).
+    The L1 mass of q_i is then 1 - beta^{t_i} to within 1e-12. The store
+    holds one independent cell per value of the (K,) `beta`: q is (K, n, C)
+    and the counters (K, n).
     """
 
     def __init__(self, n_instances: int, num_classes: int, beta):

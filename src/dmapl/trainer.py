@@ -164,32 +164,71 @@ def _batches(perm: np.ndarray, size: int):
         yield perm[start:start + size]
 
 
-def _fit(model: Model, epochs: int, rows: int, batches, step):
+class _Stops:
+    """Which cells of a stack have stopped: `errors[k]` is the DivergenceError
+    that stopped cell k, None while it trains. A stopped cell's parameters
+    are zeroed, and `_fit` zeroes its optimizer velocity and gradient."""
+
+    def __init__(self, model: Model):
+        self.flat, self.errors, self.stopped = model.flat, [None] * len(model.flat), []
+
+    def stop(self, exc: DivergenceError, cells: np.ndarray) -> bool:
+        """Stop the running cells of the (K,) mask `cells`; False if none was running."""
+        new = [k for k in np.flatnonzero(cells) if self.errors[k] is None]
+        for k in new:
+            self.errors[k] = exc
+        self.flat[new] = 0.0
+        self.stopped += new
+        return bool(new)
+
+    def retry(self, call, *args):
+        """`call(*args)`, which moves nothing when it raises: while it raises
+        a DivergenceError naming running cells, stop them and call it again."""
+        while True:
+            try:
+                return call(*args)
+            except DivergenceError as exc:
+                if not self.stop(exc, exc.cells):
+                    raise
+
+
+def _fit(model: Model, epochs: int, rows: int, batches, step, stops: _Stops, what: str):
     """The SGD loop of every training phase: `epochs` passes over `rows`
     rows, one step of `SgdMomentum`'s recipe per batch of `BATCH_SIZE`. After
-    each epoch it yields (epoch, the epoch mean of each loss, the last step's
-    rate).
+    each epoch it yields (epoch, each loss's epoch mean, the last step's rate).
 
     The phase supplies what differs: `batches()` yields one epoch's batches,
     drawing from the phase's rng in its fixed order, and `step(batch)`
     returns the forward cache, the loss gradient on its logits and a tuple
-    of per-cell loss arrays.
+    of per-cell loss arrays, the last the one trained on. A cell whose loss
+    or gradient is non-finite stops; the loop returns once all have stopped.
     """
     iters_per_epoch = math.ceil(rows / BATCH_SIZE)
     opt = SgdMomentum(model, total_steps=epochs * iters_per_epoch)
+
+    def descend(grads, t):  # a stopped cell's parameters, velocity and gradient stay zero
+        if stops.stopped:
+            grads.flat[stops.stopped] = opt.velocity[stops.stopped] = 0.0
+        opt.step(model, grads, t)
+
     t = 0
     for epoch in range(epochs):
         sums = itertools.repeat(0.0)  # from 0.0, so a mean of -0.0 losses reads 0.0
         for batch in batches():
+            if len(stops.stopped) == len(stops.errors):
+                return
             cache, grad, losses = step(batch)
-            opt.step(model, model.backward(cache, grad), t)
+            if not all(map(math.isfinite, losses[-1])):
+                diverged = ~np.isfinite(losses[-1])
+                stops.stop(DivergenceError(f"non-finite {what} loss", diverged), diverged)
+            stops.retry(descend, model.backward(cache, grad), t)
             t += 1
             sums = list(map(operator.add, sums, losses))
         yield epoch, [s / iters_per_epoch for s in sums], opt.lr_at(t - 1)
 
 
 def _fit_hard_labels(model: Model, epochs: int, rngs: list[np.random.Generator], x: np.ndarray,
-                     labels_of, what: str):
+                     labels_of, stops: _Stops, what: str):
     """`_fit` with cross-entropy on hard labels, for source training and
     naive_pl: cell k trains on the rows of x[k], x being (K, n, d). Each
     epoch takes `labels_of()`, (K, n), then passes over each cell's rows in
@@ -202,30 +241,11 @@ def _fit_hard_labels(model: Model, epochs: int, rngs: list[np.random.Generator],
             yield xs[:, start:start + BATCH_SIZE], ys[:, start:start + BATCH_SIZE]
 
     def step(batch):
-        cache = model.forward(batch[0])
+        cache = stops.retry(model.forward, batch[0])
         loss, grad = labeled_ce(cache.probs, batch[1])
-        if not all(map(math.isfinite, loss)):
-            raise DivergenceError(f"non-finite {what} loss", ~np.isfinite(loss))
         return cache, grad, (loss,)
 
-    return _fit(model, epochs, x.shape[1], batches, step)
-
-
-def _drop_diverged(run, count: int) -> list:
-    """Per cell of `count`, what `run(alive)` returns for it, `alive` being
-    the cells still running. A DivergenceError is the outcome of the cells
-    it names (all, for a one-cell run); the rest run again from the start."""
-    outcomes, alive = [None] * count, list(range(count))
-    while alive:
-        try:
-            results, rest = run(alive), []
-        except DivergenceError as exc:
-            diverged = np.broadcast_to(exc.cells, len(alive))
-            results, rest = [exc] * len(alive), [i for i, d in zip(alive, diverged) if not d]
-        for i, result in zip(alive, results):
-            outcomes[i] = result
-        alive = rest
-    return outcomes
+    return _fit(model, epochs, x.shape[1], batches, step, stops, what)
 
 
 def train_source(source_train: Dataset | list[Dataset], source_val: Dataset | list[Dataset],
@@ -240,8 +260,7 @@ def train_source(source_train: Dataset | list[Dataset], source_val: Dataset | li
     order, its own validation and its own best checkpoint. They must share
     the architecture, `source_epochs` and the train and validation row
     counts. The result is a list holding, per run, (model, record) or the
-    DmaplError it raised, each bit-identical to the run alone: a diverging
-    run is dropped and the rest train again."""
+    DivergenceError that stopped it, each bit-identical to the run alone."""
     solo = isinstance(config, TrainConfig)
     runs = ([(source_train, source_val, config)] if solo else
             list(zip(source_train, source_val, config, strict=True)))
@@ -259,34 +278,34 @@ def train_source(source_train: Dataset | list[Dataset], source_val: Dataset | li
         raise ValueError("runs trained together must share the architecture, source_epochs "
                          "and the train and validation row counts")
 
-    def train(alive: list[int]) -> list[tuple[Model, RunRecord]]:
-        start = time.perf_counter()
-        trains, vals, configs = zip(*(runs[i] for i in alive))
-        rngs = [make_rng(c.seed) for c in configs]
-        arch = ModelConfig(trains[0].dim, configs[0].hidden_dims, configs[0].bottleneck_dim,
-                           trains[0].num_classes)
-        model = Model.stack([Model.init(arch, rng) for rng in rngs])
-        records = [RunRecord(config=c.to_dict(), seed=c.seed, mode="source_pretrain")
-                   for c in configs]
-        val_x, val_y = np.stack([v.features for v in vals]), np.stack([v.labels for v in vals])
-        labels = np.stack([t.labels for t in trains])
-        best_acc, best = np.full(len(alive), -1.0), model.flat.copy()
-        for epoch, (ce,), lr in _fit_hard_labels(model, configs[0].source_epochs, rngs,
-                                                 np.stack([t.features for t in trains]),
-                                                 lambda: labels, "source training"):
-            # the micro accuracy of `evaluate`, for every run's validation set at once
-            val_acc = np.count_nonzero(model.predict(val_x) == val_y, axis=-1) / val_y.shape[1]
-            better = val_acc >= best_acc  # the later epoch wins a tie
-            best_acc[better], best[better] = val_acc[better], model.flat[better]
-            for record, ce_k, acc in zip(records, ce, val_acc):
-                record.epochs.append({"epoch": epoch, "train_ce": float(ce_k),
-                                      "val_micro": float(acc), "lr": lr})
-        for record, acc in zip(records, best_acc):
-            record.final = {"best_val_micro": float(acc)}
-            record.wall_clock_sec = time.perf_counter() - start
-        return [(Model(arch, best[k:k + 1]), record) for k, record in enumerate(records)]
-
-    outcomes = _drop_diverged(train, len(runs))
+    start = time.perf_counter()
+    trains, vals, configs = zip(*runs)
+    rngs = [make_rng(c.seed) for c in configs]
+    arch = ModelConfig(trains[0].dim, configs[0].hidden_dims, configs[0].bottleneck_dim,
+                       trains[0].num_classes)
+    model = Model.stack([Model.init(arch, rng) for rng in rngs])
+    stops = _Stops(model)
+    records = [RunRecord(config=c.to_dict(), seed=c.seed, mode="source_pretrain")
+               for c in configs]
+    val_x, val_y = np.stack([v.features for v in vals]), np.stack([v.labels for v in vals])
+    labels = np.stack([t.labels for t in trains])
+    best_acc, best = np.full(len(runs), -1.0), model.flat.copy()
+    for epoch, (ce,), lr in _fit_hard_labels(model, configs[0].source_epochs, rngs,
+                                             np.stack([t.features for t in trains]),
+                                             lambda: labels, stops, "source training"):
+        # the micro accuracy of `evaluate`, for every run's validation set at once
+        predicted = stops.retry(model.predict, val_x)
+        val_acc = np.count_nonzero(predicted == val_y, axis=-1) / val_y.shape[1]
+        better = val_acc >= best_acc  # the later epoch wins a tie
+        best_acc[better], best[better] = val_acc[better], model.flat[better]
+        for record, ce_k, acc in zip(records, ce, val_acc):
+            record.epochs.append({"epoch": epoch, "train_ce": float(ce_k),
+                                  "val_micro": float(acc), "lr": lr})
+    outcomes = []
+    for k, (record, acc, error) in enumerate(zip(records, best_acc, stops.errors)):
+        record.final = {"best_val_micro": float(acc)}
+        record.wall_clock_sec = time.perf_counter() - start
+        outcomes.append((Model(arch, best[k:k + 1]), record) if error is None else error)
     return _unwrap(outcomes[0]) if solo else outcomes
 
 
@@ -304,24 +323,11 @@ def _unwrap(outcome):
     return outcome
 
 
-def _test_metrics(model: Model, k: int, eval_data: Dataset | None) -> dict:
-    """Test metrics of cell `k` of the model, or none without `eval_data`.
-    If the cell's logits are non-finite, the DivergenceError names that cell
-    alone."""
-    if eval_data is None:
-        return {}
-    try:
-        metrics = evaluate(model.cell(k), eval_data)
-    except DivergenceError as exc:
-        raise DivergenceError(str(exc), np.arange(len(model.flat)) == k) from None
-    return {"test_macro": metrics.macro, "test_micro": metrics.micro}
-
-
-def _dual_average(source_model: Model, target_train: Dataset, configs: list[TrainConfig],
-                  rng: np.random.Generator, split: SplitResult | None):
-    """The dual moving-average adaptation of K >= 1 cells at once: returns
-    the stacked model, the soft-label store (None if nothing is unlabeled)
-    and `_fit`'s epochs. Without a split every instance is unlabeled.
+def _dual_average(model: Model, target_train: Dataset, configs: list[TrainConfig],
+                  rng: np.random.Generator, split: SplitResult | None, stops: _Stops):
+    """The dual moving-average adaptation of `model`'s K >= 1 cells, one per
+    config: returns the soft-label store (None if nothing is unlabeled) and
+    `_fit`'s epochs. Without a split every instance is unlabeled.
 
     Parameters, optimizer state, centroids and soft labels carry a leading
     cell axis; per-cell alpha, beta and lambda broadcast over it. Each cell's
@@ -333,10 +339,9 @@ def _dual_average(source_model: Model, target_train: Dataset, configs: list[Trai
     centroids, update soft labels, then take the combined gradient step.
     A cell's soft-label updates wait until every one of its class centroids
     has been initialized; until then its unlabeled rows carry zero mass and
-    are inert in the loss. Non-finite logits, losses or gradients raise
-    DivergenceError naming the cells.
+    are inert in the loss. A cell whose logits, loss or gradient turn
+    non-finite stops; its logits never reach the centroids.
     """
-    model = Model.stack([source_model] * len(configs))
     num_classes = model.config.num_classes
     if split is None:
         labeled_idx = frozen_labels = np.empty(0, dtype=np.int64)
@@ -367,7 +372,7 @@ def _dual_average(source_model: Model, target_train: Dataset, configs: list[Trai
         l_pos, u_pos = batch
         nl = l_pos.size
         labels = frozen_labels[l_pos]
-        cache = model.forward(np.concatenate([labeled_x[l_pos], unlabeled_x[u_pos]]))
+        cache = stops.retry(model.forward, np.concatenate([labeled_x[l_pos], unlabeled_x[u_pos]]))
         probs = cache.probs
         z = l2_normalize_rows(cache.features)
         pseudo = np.empty(probs.shape[:-1], dtype=np.int64)
@@ -391,62 +396,11 @@ def _dual_average(source_model: Model, target_train: Dataset, configs: list[Trai
             grad_logits[:, nl:] = g_u
         else:
             loss_u = no_loss
-        total = loss_u + lam * loss_l
-        finite = np.isfinite(total)
-        if not np.logical_and.reduce(finite):
-            raise DivergenceError("non-finite adaptation loss", ~finite)
-        return cache, grad_logits, (loss_l, loss_u, total)
+        return cache, grad_logits, (loss_l, loss_u, loss_u + lam * loss_l)
 
     # an epoch is a pass over the unlabeled rows, or the confident ones if there are none
-    return model, store, _fit(model, configs[0].adapt_epochs, n_u or n_l, batches, step)
-
-
-def _adapt_group(source_model: Model, target_train: Dataset, configs: list[TrainConfig],
-                 split: SplitResult | None, diagnostic_labels: np.ndarray | None,
-                 eval_data: Dataset | None,
-                 snapshot_dir: str | None) -> list[tuple[Model, RunRecord]]:
-    """One adaptation run for K >= 1 configs with one `_lockstep_key`, and
-    per config its (model, record). The moving-average modes run one cell
-    per config in lockstep; naive_pl, which none of alpha, beta and lambda
-    affect, and source_only run one cell that serves every config."""
-    start = time.perf_counter()
-    config = configs[0]
-    rng = make_rng(config.seed)
-    split_record = None if split is None else split_diagnostics(split, diagnostic_labels)
-    records = [RunRecord(config=c.to_dict(), seed=c.seed, mode=c.mode,
-                         split=None if split is None else dict(split_record), split_result=split)
-               for c in configs]
-    store, epochs = None, ()
-    if config.mode in ("dmapl", "soft_label_no_split"):
-        model, store, epochs = _dual_average(source_model, target_train, configs, rng, split)
-    elif config.mode == "naive_pl":
-        # self-training: re-label everything with the current model at each
-        # epoch start, then train one epoch of hard CE on those labels
-        model, x = source_model.copy(), target_train.features
-        epochs = ((epoch, (ce, np.zeros(1), ce), lr) for epoch, (ce,), lr in _fit_hard_labels(
-            model, config.adapt_epochs, [rng], x[None], lambda: model.predict(x),
-            "naive pseudo-labeling"))
-    else:
-        model = source_model  # source_only; every result below is a copy
-    # record k reads cell k of a lockstep stack, or the one cell of the others
-    cell_of = np.broadcast_to(np.arange(len(model.flat)), len(records))
-    for epoch, means, lr in epochs:
-        for record, k in zip(records, cell_of):
-            entry = {"epoch": epoch, "lr": lr}
-            for name, mean in zip(("loss_l", "loss_u", "loss_total"), means):
-                entry[name] = float(mean[k])
-            entry.update(_test_metrics(model, k, eval_data))
-            record.epochs.append(entry)
-        if snapshot_dir is not None and store is not None:
-            store.save_csv(os.path.join(snapshot_dir, f"soft_labels_epoch{epoch:03d}.csv"))
-    results = []
-    for record, k in zip(records, cell_of):
-        # the last epoch's figures are the final ones (source_only has no epochs)
-        last = record.epochs[-1] if record.epochs else _test_metrics(model, k, eval_data)
-        record.final = {key: v for key, v in last.items() if key not in ("epoch", "lr")}
-        record.wall_clock_sec = time.perf_counter() - start
-        results.append((model.cell(k), record))
-    return results
+    return store, _fit(model, configs[0].adapt_epochs, n_u or n_l, batches, step, stops,
+                       "adaptation")
 
 
 def adapt(source_model: Model, target_train: Dataset,
@@ -469,10 +423,12 @@ def adapt(source_model: Model, target_train: Dataset,
 
     Returns (model, record). `config` may also be a list of configs that
     differ only in alpha, beta and lambda; the result is then a list holding,
-    per config, (model, record) or the DmaplError its run raised, each
-    bit-identical to the run of that config alone. The configs share one
-    split and one loop; a diverging cell is dropped and the rest run again
-    from the start, so a cell's numbers never depend on the other cells.
+    per config, (model, record) or the DmaplError that ended its run, each
+    bit-identical to the run of that config alone. The moving-average modes
+    adapt a cell per config in one loop, and a cell that diverges or fails
+    its test metrics stops with its error while the others adapt on.
+    naive_pl, which none of alpha, beta and lambda affect, and source_only
+    run one cell, whose outcome is every config's.
     """
     configs = [config] if isinstance(config, TrainConfig) else list(config)
     if not configs:
@@ -481,15 +437,59 @@ def adapt(source_model: Model, target_train: Dataset,
         raise ValueError("configs adapted together may differ only in alpha, beta and lambda")
     if snapshot_dir is not None and len(configs) > 1:
         raise ValueError("soft-label snapshots are written for a single config only")
+    start, first = time.perf_counter(), configs[0]
     try:
-        split = (split_target(source_model, target_train, configs[0].p_th)
-                 if configs[0].mode == "dmapl" else None)
-    except DmaplError as exc:
-        outcomes = [exc] * len(configs)
-    else:
-        outcomes = _drop_diverged(lambda alive: _adapt_group(
-            source_model, target_train, [configs[i] for i in alive], split, diagnostic_labels,
-            eval_data, snapshot_dir), len(configs))
+        split = (split_target(source_model, target_train, first.p_th)
+                 if first.mode == "dmapl" else None)
+    except DmaplError as exc:  # a failed split is every config's outcome
+        return _unwrap(exc) if isinstance(config, TrainConfig) else [exc] * len(configs)
+    rng = make_rng(first.seed)
+    split_record = None if split is None else split_diagnostics(split, diagnostic_labels)
+    records = [RunRecord(config=c.to_dict(), seed=c.seed, mode=c.mode,
+                         split=None if split is None else dict(split_record), split_result=split)
+               for c in configs]
+    dual = first.mode in ("dmapl", "soft_label_no_split")
+    model = Model.stack([source_model] * (len(configs) if dual else 1))
+    stops, store, epochs = _Stops(model), None, ()
+    if dual:
+        store, epochs = _dual_average(model, target_train, configs, rng, split, stops)
+    elif first.mode == "naive_pl":
+        # self-training: re-label everything with the current model at each
+        # epoch start, then train one epoch of hard CE on those labels
+        x = target_train.features
+        epochs = ((epoch, (ce, np.zeros(1), ce), lr) for epoch, (ce,), lr in _fit_hard_labels(
+            model, first.adapt_epochs, [rng], x[None], lambda: stops.retry(model.predict, x),
+            stops, "naive pseudo-labeling"))
+
+    def test_metrics(k: int) -> dict:
+        """Cell k's test metrics, none without `eval_data`; a failure stops the cell."""
+        if eval_data is None:
+            return {}
+        try:
+            metrics = evaluate(model.cell(k), eval_data)
+        except DivergenceError as exc:
+            stops.stop(exc, np.arange(len(model.flat)) == k)
+            return {}
+        return {"test_macro": metrics.macro, "test_micro": metrics.micro}
+
+    # record k reads cell k of a lockstep stack, or the one cell of the others
+    cell_of = np.broadcast_to(np.arange(len(model.flat)), len(records))
+    for epoch, means, lr in epochs:
+        for record, k in zip(records, cell_of):
+            entry = {"epoch": epoch, "lr": lr}
+            for name, mean in zip(("loss_l", "loss_u", "loss_total"), means):
+                entry[name] = float(mean[k])
+            entry.update(test_metrics(k))
+            record.epochs.append(entry)
+        if snapshot_dir is not None and store is not None:
+            store.save_csv(os.path.join(snapshot_dir, f"soft_labels_epoch{epoch:03d}.csv"))
+    outcomes = []
+    for record, k in zip(records, cell_of):
+        # the last epoch's figures are the final ones (source_only has no epochs)
+        last = record.epochs[-1] if record.epochs else test_metrics(k)
+        record.final = {key: v for key, v in last.items() if key not in ("epoch", "lr")}
+        record.wall_clock_sec = time.perf_counter() - start
+        outcomes.append((model.cell(k), record) if stops.errors[k] is None else stops.errors[k])
     return _unwrap(outcomes[0]) if isinstance(config, TrainConfig) else outcomes
 
 

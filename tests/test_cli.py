@@ -564,6 +564,9 @@ BAD_INPUTS = {
     "split-wide-target": ("split", "--model", "@model", "--target-train", "@wide"),
     "adapt-wide-target": ("adapt", "--source-model", "@model", "--target-train", "@wide"),
     "eval-wide-test": ("eval", "--model", "@model", "--test", "@wide"),
+    "eval-unlabeled-test": ("eval", "--model", "@model", "--test", "@data"),
+    "train-source-unlabeled-train": ("train-source", "--train", "@data", "--val", "@source"),
+    "train-source-missing-val": ("train-source", "--train", "@source", "--val", "@missing"),
 }
 # what the error of a row must say, "{name}" standing for the path of "@name"
 BAD_INPUT_ERRORS = {
@@ -594,6 +597,9 @@ BAD_INPUT_ERRORS = {
     **dict.fromkeys(["train-source-wide-val", "split-wide-target", "adapt-wide-target",
                      "eval-wide-test"],
                     "error: {wide}: line 1: header declares 3 feature columns, expected 2"),
+    "eval-unlabeled-test": "error: {data}: the test set must be labeled",
+    "train-source-unlabeled-train": "error: {data}: the source training set must be labeled",
+    "train-source-missing-val": "{missing}",
 }
 
 

@@ -15,7 +15,7 @@ import pytest
 import dmapl.trainer as trainer
 from dmapl.datasets import Dataset, DomainShiftSpec
 from dmapl.evaluation import evaluate
-from dmapl.model import DivergenceError
+from dmapl.model import DivergenceError, SgdMomentum
 from dmapl.numkit import DmaplError
 from dmapl.trainer import TrainConfig, adapt, prepare_benchmark, sweep, train_source
 
@@ -179,6 +179,102 @@ def test_lockstep_records_an_evaluation_divergence_per_cell():
             adapt(source_model, target, configs[0], eval_data=broken)
         results = adapt(source_model, target, configs, eval_data=broken)
     assert all(isinstance(r, DivergenceError) for r in results)
+
+
+def count_optimizers(monkeypatch) -> list:
+    """Make the trainer's optimizer record each construction in the returned list."""
+    built = []
+
+    class Counted(SgdMomentum):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "SgdMomentum", Counted)
+    return built
+
+
+def test_a_late_stop_costs_no_rerun(monkeypatch):
+    # cell 0's loss turns NaN in the second of three epochs (65 unlabeled
+    # rows: two soft_ce calls an epoch); it stops there while cells 1-2
+    # adapt on in the same loop, with the same optimizer
+    spec, config = DIVERGING["spec"], replace(DIVERGING["config"], adapt_epochs=3)
+    bench = prepare_benchmark(spec)
+    source_model, _ = train_source(bench.source_train, bench.source_val, config)
+    target = bench.target_train.without_labels()
+    configs = [replace(config, lam=lam) for lam in (1.0, 0.5, 2.0)]
+    solo = [adapt(source_model, target, cfg) for cfg in configs[1:]]
+    built = count_optimizers(monkeypatch)
+    soft_ce, calls = trainer.soft_ce, []
+
+    def nan_loss(probs, q):  # cell 0's loss reads NaN from the 4th call on
+        loss, grad = soft_ce(probs, q)
+        calls.append(None)
+        if len(calls) >= 4:
+            loss[0] = np.nan
+        return loss, grad
+
+    monkeypatch.setattr(trainer, "soft_ce", nan_loss)
+    results = adapt(source_model, target, configs)
+    assert isinstance(results[0], DivergenceError)
+    assert str(results[0]) == "non-finite adaptation loss"
+    for (model, record), (solo_model, solo_record) in zip(results[1:], solo, strict=True):
+        assert record.summary_json() == solo_record.summary_json()
+        np.testing.assert_array_equal(model.flat.view(np.int64), solo_model.flat.view(np.int64))
+    assert len(built) == 1
+    assert len(calls) == 6  # three epochs of two steps, run once
+
+
+def test_a_diverging_source_run_stops_in_the_one_loop(monkeypatch):
+    # seed 0's features overflow its logits at the first step; seed 1 trains
+    # on in the same stack, with the same optimizer
+    benches = [prepare_benchmark(DomainShiftSpec(seed=s, samples_per_class=60)) for s in (0, 1)]
+    configs = [TrainConfig(seed=s, source_epochs=3) for s in (0, 1)]
+    solo_model, solo_record = train_source(benches[1].source_train, benches[1].source_val,
+                                           configs[1])
+    built = count_optimizers(monkeypatch)
+    train = benches[0].source_train
+    inflated = Dataset(train.features * 1e300, train.labels, train.num_classes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed, (model, record) = train_source([inflated, benches[1].source_train],
+                                               [b.source_val for b in benches], configs)
+    assert isinstance(failed, DivergenceError)
+    assert len(built) == 1
+    np.testing.assert_array_equal(model.flat.view(np.int64), solo_model.flat.view(np.int64))
+    assert record.epoch_lines() == solo_record.epoch_lines()
+
+
+def test_a_late_stop_is_recorded_under_python_O():
+    # asserts are stripped by -O; stopping a cell must not rest on one
+    script = textwrap.dedent("""
+        from dataclasses import replace
+        import numpy as np
+        import dmapl.trainer as trainer
+        from dmapl import DomainShiftSpec, TrainConfig, prepare_benchmark, train_source
+
+        assert False, "run with -O"  # stripped by -O, so the rest runs
+        bench = prepare_benchmark(DomainShiftSpec(seed=11, samples_per_class=100))
+        config = TrainConfig(seed=11, source_epochs=20, adapt_epochs=3, p_th=0.7)
+        model, _ = train_source(bench.source_train, bench.source_val, config)
+        soft_ce, calls = trainer.soft_ce, []
+
+        def nan_loss(probs, q):  # cell 0's loss reads NaN from the 4th call on
+            loss, grad = soft_ce(probs, q)
+            calls.append(None)
+            if len(calls) >= 4:
+                loss[0] = np.nan
+            return loss, grad
+
+        trainer.soft_ce = nan_loss
+        results = trainer.adapt(model, bench.target_train.without_labels(),
+                                [replace(config, lam=lam) for lam in (1.0, 0.5, 2.0)])
+        print([type(r).__name__ for r in results], results[0], len(calls))
+    """)
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['DivergenceError', 'tuple', 'tuple'] non-finite adaptation loss 6\n"
 
 
 def test_frozen_labels_are_read_only_under_python_O():
