@@ -4,8 +4,9 @@ Subcommands: gen-data, train-source, split, adapt, eval, sweep. The ablation
 is a sweep over `mode` (grids/ablation.json).
 Every command resolves its full config (defaults + file + flags) and loads
 its input files before it makes the output directory, then writes the config
-there before any training. Every command is deterministic under a fixed
-seed. Exit codes: 0 success, 1 domain error, 2 usage error.
+there before any training; `_load` decides what each CSV input must hold.
+Every command is deterministic under a fixed seed. Exit codes: 0 success, 1
+domain error, 2 usage error.
 
 Target-train ground-truth labels always live in a separate file that only the
 diagnostics/eval paths accept; the adaptation input is the unlabeled CSV.
@@ -23,9 +24,9 @@ import sys
 
 from .configio import (ConfigError, _from_sources, format_flat_config, shift_spec_from_sources,
                        train_config_from_sources)
-from .datasets import load_csv, save_csv
+from .datasets import Dataset, load_csv, save_csv
 from .evaluation import evaluate, format_metrics_table
-from .model import ModelConfig, load_model, save_model
+from .model import load_model, save_model
 from .numkit import DmaplError
 from .splitter import save_split_csv, split_diagnostics, split_target
 from .trainer import (MODES, SPLIT_RATIO, VAL_FRACTION, TrainConfig, _grid_cells, _run_sweep,
@@ -70,13 +71,24 @@ def _overrides(args: argparse.Namespace) -> dict:
     return {key: getattr(args, key) for key in TrainConfig().to_dict()}
 
 
-def _load_target_train(args: argparse.Namespace, arch: ModelConfig):
+def _load(path: str, what: str, shape: tuple = (), labeled: bool = True) -> Dataset:
+    """The CSV at `path`, the command's `what`, read by `load_csv` against
+    `shape` (class count, feature count): it must hold a row, and labels unless
+    `labeled` is False, which drops any it has. Each rejection names the file."""
+    data = load_csv(path, *shape)
+    if labeled and not data.is_labeled:
+        raise ValueError(f"{path}: the {what} must be labeled")
+    if not data.n:
+        raise ValueError(f"{path}: the {what} has no rows")
+    return data if labeled else data.without_labels()
+
+
+def _load_target_train(args: argparse.Namespace, shape: tuple):
     """The unlabeled `--target-train` rows, and the labels of `--ground-truth`
     (None without it), which must hold one per row; both files must fit the
-    model architecture `arch`."""
-    target = load_csv(args.target_train, arch.num_classes, arch.input_dim).without_labels()
-    truth = (load_csv(args.ground_truth, arch.num_classes, arch.input_dim)
-             if args.ground_truth else None)
+    model's (class count, feature count) `shape`."""
+    target = _load(args.target_train, "target training set", shape, labeled=False)
+    truth = load_csv(args.ground_truth, *shape) if args.ground_truth else None
     if truth is not None and (not truth.is_labeled or truth.n != target.n):
         raise ValueError(f"{args.ground_truth} has {truth.n} "
                          f"{'' if truth.is_labeled else 'un'}labeled rows; it needs a label for "
@@ -114,10 +126,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_train_source(args: argparse.Namespace) -> int:
     config = train_config_from_sources(args.config, _overrides(args))
-    train = load_csv(args.train)
-    if not train.is_labeled:
-        raise ValueError(f"{args.train}: the source training set must be labeled")
-    val = load_csv(args.val, train.num_classes, train.dim)
+    train = _load(args.train, "source training set")
+    val = _load(args.val, "validation set", (train.num_classes, train.dim))
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, config.to_dict())
     model, record = train_source(train, val, config)
@@ -130,7 +140,7 @@ def cmd_train_source(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    data, truth = _load_target_train(args, model.config)
+    data, truth = _load_target_train(args, (model.config.num_classes, model.config.input_dim))
     result = split_target(model, data, args.p_th)
     diag = split_diagnostics(result, truth)
     _prepare_out_dir(args.out, args.force)
@@ -156,9 +166,9 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         return TrainConfig.from_dict(settings)
 
     config = _from_sources(args.config, _overrides(args), config_of)
-    target_train, truth = _load_target_train(args, arch)
-    eval_data = (load_csv(args.target_test, arch.num_classes, arch.input_dim)
-                 if args.target_test else None)
+    shape = (arch.num_classes, arch.input_dim)
+    target_train, truth = _load_target_train(args, shape)
+    eval_data = _load(args.target_test, "target test set", shape) if args.target_test else None
     _prepare_out_dir(args.out, args.force)
     _write_resolved_config(args.out, config.to_dict())
     snapshot_dir = None
@@ -178,9 +188,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    test = load_csv(args.test, model.config.num_classes, model.config.input_dim)
-    if not test.is_labeled:
-        raise ValueError(f"{args.test}: the test set must be labeled")
+    test = _load(args.test, "test set", (model.config.num_classes, model.config.input_dim))
     if args.out:
         _prepare_out_dir(args.out, args.force)
     metrics = evaluate(model, test)

@@ -54,6 +54,8 @@ def parse_flat_config(text: str, source: str = "<config>") -> dict:
             raw = raw.split("#", 1)[0].strip()
         if not key or not raw:
             raise ConfigError(f"{source}: line {lineno}: expected 'key = value'")
+        if key in out:
+            raise ConfigError(f"{source}: line {lineno}: duplicate key {key!r}")
         out[key] = _parse_value(raw)
     return out
 

@@ -264,7 +264,7 @@ def train_source(source_train: Dataset | list[Dataset], source_val: Dataset | li
     solo = isinstance(config, TrainConfig)
     runs = ([(source_train, source_val, config)] if solo else
             list(zip(source_train, source_val, config, strict=True)))
-    for train, val, _ in runs:
+    for k, (train, val, _) in enumerate(runs):
         if not (train.is_labeled and val.is_labeled):
             raise ValueError("source datasets must be labeled")
         if train.num_classes != val.num_classes:
@@ -273,6 +273,8 @@ def train_source(source_train: Dataset | list[Dataset], source_val: Dataset | li
             raise ValueError("train and validation feature counts differ")
         if not val.n:
             raise ValueError("validation set is empty")
+        if not (np.isfinite(train.features).all() and np.isfinite(val.features).all()):
+            raise ValueError(f"run {k}: source features must be finite")
     if len({(c.hidden_dims, c.bottleneck_dim, c.source_epochs, t.dim, t.num_classes, t.n, v.n)
             for t, v, c in runs}) > 1:
         raise ValueError("runs trained together must share the architecture, source_epochs "
@@ -437,6 +439,8 @@ def adapt(source_model: Model, target_train: Dataset,
         raise ValueError("configs adapted together may differ only in alpha, beta and lambda")
     if snapshot_dir is not None and len(configs) > 1:
         raise ValueError("soft-label snapshots are written for a single config only")
+    if not np.isfinite(target_train.features).all():
+        raise ValueError("target_train features must be finite")
     start, first = time.perf_counter(), configs[0]
     try:
         split = (split_target(source_model, target_train, first.p_th)

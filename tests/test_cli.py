@@ -567,6 +567,8 @@ BAD_INPUTS = {
     "eval-unlabeled-test": ("eval", "--model", "@model", "--test", "@data"),
     "train-source-unlabeled-train": ("train-source", "--train", "@data", "--val", "@source"),
     "train-source-missing-val": ("train-source", "--train", "@source", "--val", "@missing"),
+    "train-source-duplicate-key": (*TRAIN, "--config", "alpha = 0.5\nalpha = 0.7"),
+    "gen-data-duplicate-spec-key": ("gen-data", "--spec", "seed = 1\nseed = 2"),
 }
 # what the error of a row must say, "{name}" standing for the path of "@name"
 BAD_INPUT_ERRORS = {
@@ -600,6 +602,8 @@ BAD_INPUT_ERRORS = {
     "eval-unlabeled-test": "error: {data}: the test set must be labeled",
     "train-source-unlabeled-train": "error: {data}: the source training set must be labeled",
     "train-source-missing-val": "{missing}",
+    "train-source-duplicate-key": "error: {flat}: line 2: duplicate key 'alpha'",
+    "gen-data-duplicate-spec-key": "error: {flat}: line 2: duplicate key 'seed'",
 }
 
 
@@ -651,6 +655,64 @@ def test_bad_input_fails_before_out_is_made(name, data_dir, source_dir, truth_fi
         expected = expected.replace("{" + key[1:] + "}", str(path))
     assert expected in err
     assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+# every CSV input of every command, the other inputs valid; "@fault" is the faulty file
+CSV_INPUTS = {
+    "train-source--train": ("train-source", "--train", "@fault", "--val", "@val"),
+    "train-source--val": ("train-source", "--train", "@source", "--val", "@fault"),
+    "split--target-train": ("split", "--model", "@model", "--target-train", "@fault"),
+    "split--ground-truth": (*SPLIT, "--ground-truth", "@fault"),
+    "adapt--target-train": ("adapt", "--source-model", "@model", "--target-train", "@fault"),
+    "adapt--target-test": (*ADAPT, "--target-test", "@fault"),
+    "adapt--ground-truth": (*ADAPT, "--ground-truth", "@fault"),
+    "eval--test": ("eval", "--model", "@model", "--test", "@fault"),
+}
+CSV_FAULTS = ("missing", "empty", "header-only", "wide", "unlabeled", "label-out-of-range",
+              "non-finite")
+# faults that are valid input there: `--train` fixes the class count and width,
+# and `--target-train` drops any labels
+VALID_FAULTS = {("train-source--train", "wide"), ("train-source--train", "label-out-of-range"),
+                ("split--target-train", "unlabeled"), ("adapt--target-train", "unlabeled")}
+
+
+@pytest.fixture(scope="module")
+def fault_files(data_dir, wide_file, tmp_path_factory):
+    """One file per `CSV_FAULTS` entry, made from the target test set (2
+    features, 4 classes); "missing" names no file."""
+    out = tmp_path_factory.mktemp("faults")
+    test = load_csv(str(data_dir / "target_test.csv"))
+    labels, features = test.labels.copy(), test.features.copy()
+    labels[3], features[5, 1] = test.num_classes, np.nan
+    (out / "empty.csv").write_text("")
+    for name, data in [("header-only", test.subset(np.arange(0))),
+                       ("unlabeled", test.without_labels()),
+                       ("label-out-of-range", Dataset(test.features, labels, 5)),
+                       ("non-finite", Dataset(features, test.labels, test.num_classes))]:
+        save_csv(data, str(out / f"{name}.csv"))
+    return {fault: out / f"{fault}.csv" for fault in CSV_FAULTS} | {"wide": wide_file["@wide"]}
+
+
+@pytest.mark.parametrize("csv_input,fault", [
+    (csv_input, fault) for csv_input in CSV_INPUTS for fault in CSV_FAULTS
+    if (csv_input, fault) not in VALID_FAULTS])
+def test_every_faulty_csv_input_fails_before_out_is_made(csv_input, fault, data_dir, source_dir,
+                                                         fault_files, tmp_path, monkeypatch,
+                                                         capsys):
+    def no_training(*args, **kwargs):  # main lets an AssertionError through
+        raise AssertionError("training ran before the inputs were checked")
+
+    monkeypatch.setattr(dmapl.cli, "train_source", no_training)
+    monkeypatch.setattr(dmapl.cli, "adapt", no_training)
+    paths = {"@model": source_dir / "source_model.txt", "@data": data_dir / "target_train.csv",
+             "@source": data_dir / "source_train.csv", "@val": data_dir / "source_val.csv",
+             "@fault": fault_files[fault]}
+    argv = [paths.get(arg, arg) for arg in CSV_INPUTS[csv_input]]
+    assert run_cli(*argv, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(fault_files[fault]) in err
     assert not (tmp_path / "out").exists()
 
 

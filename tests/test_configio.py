@@ -31,6 +31,12 @@ def test_parse_errors_name_the_line():
         parse_flat_config("key =   # only a comment\n")
 
 
+def test_parse_rejects_a_repeated_key():
+    # TOML forbids a repeated key; last-wins would silently drop the first value
+    with pytest.raises(ConfigError, match=r"^c\.txt: line 3: duplicate key 'alpha'$"):
+        parse_flat_config("alpha = 0.5\n# again\nalpha = 0.7\n", source="c.txt")
+
+
 def test_format_round_trip():
     values = {"p_th": 0.9, "seed": 7, "mode": "dmapl", "hidden_dims": (64, 32),
               "flag": False}

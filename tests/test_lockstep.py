@@ -15,7 +15,7 @@ import pytest
 import dmapl.trainer as trainer
 from dmapl.datasets import Dataset, DomainShiftSpec
 from dmapl.evaluation import evaluate
-from dmapl.model import DivergenceError, SgdMomentum
+from dmapl.model import DivergenceError, Model, ModelConfig, SgdMomentum
 from dmapl.numkit import DmaplError
 from dmapl.trainer import TrainConfig, adapt, prepare_benchmark, sweep, train_source
 
@@ -242,6 +242,41 @@ def test_a_diverging_source_run_stops_in_the_one_loop(monkeypatch):
     assert len(built) == 1
     np.testing.assert_array_equal(model.flat.view(np.int64), solo_model.flat.view(np.int64))
     assert record.epoch_lines() == solo_record.epoch_lines()
+
+
+def with_inf(data):
+    """The dataset with an inf first feature in its first row."""
+    features = data.features.copy()
+    features[0, 0] = np.inf
+    return Dataset(features, data.labels, data.num_classes)
+
+
+@pytest.mark.parametrize("mode", trainer.MODES)
+def test_non_finite_target_features_fail_before_a_model_is_stacked(mode, monkeypatch):
+    # zeroing a stopped cell's parameters cannot keep inf inputs finite
+    # (0 * inf is NaN), so such a target set is rejected whole, up front
+    bench = prepare_benchmark(DomainShiftSpec(samples_per_class=20))
+    config = TrainConfig(mode=mode, adapt_epochs=1)
+    arch = ModelConfig(2, config.hidden_dims, config.bottleneck_dim, 4)
+    source_model = Model.init(arch, np.random.default_rng(0))
+    target = with_inf(bench.target_train.without_labels())
+    built = count_optimizers(monkeypatch)
+    for configs in (config, [replace(config, lam=lam) for lam in (1.0, 0.5)]):
+        with pytest.raises(ValueError, match="^target_train features must be finite$"):
+            adapt(source_model, target, configs)
+    assert built == []
+
+
+def test_non_finite_source_features_fail_before_a_model_is_stacked(monkeypatch):
+    benches = [prepare_benchmark(DomainShiftSpec(seed=s, samples_per_class=20)) for s in (0, 1)]
+    configs = [TrainConfig(seed=s, source_epochs=1) for s in (0, 1)]
+    trains, vals = [b.source_train for b in benches], [b.source_val for b in benches]
+    built = count_optimizers(monkeypatch)
+    with pytest.raises(ValueError, match="^run 1: source features must be finite$"):
+        train_source([trains[0], with_inf(trains[1])], vals, configs)
+    with pytest.raises(ValueError, match="^run 0: source features must be finite$"):
+        train_source(trains[0], with_inf(vals[0]), configs[0])
+    assert built == []
 
 
 def test_a_late_stop_is_recorded_under_python_O():
