@@ -74,12 +74,19 @@ def _overrides(args: argparse.Namespace) -> dict:
 def _load(path: str, what: str, shape: tuple = (), labeled: bool = True) -> Dataset:
     """The CSV at `path`, the command's `what`, read by `load_csv` against
     `shape` (class count, feature count): it must hold a row, and labels unless
-    `labeled` is False, which drops any it has. Each rejection names the file."""
+    `labeled` is False, which drops any it has. Without a `shape` the largest
+    label sets the class count, and every class below it must have a row.
+    Each rejection names the file."""
     data = load_csv(path, *shape)
     if labeled and not data.is_labeled:
         raise ValueError(f"{path}: the {what} must be labeled")
     if not data.n:
         raise ValueError(f"{path}: the {what} has no rows")
+    if labeled and not shape:  # the largest label set the class count
+        absent = set(range(data.num_classes)).difference(data.labels.tolist())
+        if absent:
+            raise ValueError(f"{path}: the {what} has no row of class {min(absent)}, "
+                             f"below its largest label {data.num_classes - 1}")
     return data if labeled else data.without_labels()
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .model import Model
+from .model import Model, ModelConfig
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,23 @@ def confusion_metrics(confusion: np.ndarray) -> Metrics:
                    confusion=confusion, present=present)
 
 
-def evaluate(model: Model, test: Dataset) -> Metrics:
-    """A one-cell model's argmax predictions against the labeled test set
-    (ties -> lowest class)."""
+def check_test_set(config: ModelConfig, test: Dataset) -> None:
+    """Raise ValueError unless `test` can evaluate a model of `config`: it
+    has rows, labels and the model's class and feature counts."""
     if test.n == 0:
         raise ValueError("test set is empty")
     if not test.is_labeled:
         raise ValueError("test set must be labeled")
-    if model.config.num_classes != test.num_classes:
+    if config.num_classes != test.num_classes:
         raise ValueError("model and test set disagree on the class count")
+    if config.input_dim != test.dim:
+        raise ValueError("model and test set disagree on the feature count")
+
+
+def evaluate(model: Model, test: Dataset) -> Metrics:
+    """A one-cell model's argmax predictions against the labeled test set
+    (ties -> lowest class)."""
+    check_test_set(model.config, test)
     if len(model.flat) != 1:
         raise ValueError(f"evaluation needs a single model, got {len(model.flat)} cells")
     predictions = model.predict(test.features)[0]

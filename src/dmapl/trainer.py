@@ -7,9 +7,9 @@ into the numerics. Every phase trains a stack of model cells through one SGD
 loop, `_fit`; source training stacks the runs of several seeds, a cell each
 with its own batches, and naive_pl trains one cell. Adaptation splits the
 target training set exactly once, with the source model, and never touches
-the frozen pseudo-labels afterwards. Configs that differ only in alpha, beta
-and lambda adapt in lockstep, a cell each in one loop, each cell computing
-exactly what its own run computes."""
+the frozen pseudo-labels afterwards. `adapt` runs the configs that differ
+at most in alpha, beta and lambda in lockstep, a cell each in one loop, each
+cell computing exactly what its own run computes."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .datasets import Dataset, DomainShiftSpec, generate_domain_pair, stratified_split
-from .evaluation import evaluate
+from .evaluation import check_test_set, evaluate
 from .losses import labeled_ce, soft_ce
 from .model import DivergenceError, Model, ModelConfig, SgdMomentum
 from .numkit import DmaplError, is_integer, l2_normalize_rows, make_rng
@@ -311,13 +311,6 @@ def train_source(source_train: Dataset | list[Dataset], source_val: Dataset | li
     return _unwrap(outcomes[0]) if solo else outcomes
 
 
-def _lockstep_key(config: TrainConfig) -> TrainConfig:
-    """Configs with equal keys share the split, the schedule and the
-    batch-index sequence, so they can be adapted in one lockstep loop: they
-    differ at most in alpha, beta and lambda."""
-    return replace(config, alpha=0.5, beta=0.5, lam=0.0)
-
-
 def _unwrap(outcome):
     """The (model, record) of one adaptation outcome, or raise its error."""
     if isinstance(outcome, DmaplError):
@@ -423,78 +416,92 @@ def adapt(source_model: Model, target_train: Dataset,
     adds test metrics to the record; `snapshot_dir` dumps a per-epoch
     soft-label CSV for audits.
 
-    Returns (model, record). `config` may also be a list of configs that
-    differ only in alpha, beta and lambda; the result is then a list holding,
-    per config, (model, record) or the DmaplError that ended its run, each
-    bit-identical to the run of that config alone. The moving-average modes
-    adapt a cell per config in one loop, and a cell that diverges or fails
-    its test metrics stops with its error while the others adapt on.
-    naive_pl, which none of alpha, beta and lambda affect, and source_only
-    run one cell, whose outcome is every config's.
+    Returns (model, record). `config` may also be a list of any configs;
+    the result is then a list holding, per config in order, (model, record)
+    or the DmaplError that ended its run, each bit-identical to the run of
+    that config alone. A repeated config runs once and shares its outcome.
+    Configs that differ at most in alpha, beta and lambda share the split,
+    the schedule and the batch indices, so they adapt in one loop: a cell
+    each in the moving-average modes, where a cell that diverges or fails
+    its test metrics stops with its error while the others adapt on. naive_pl,
+    which none of the three affect, and source_only run one cell, whose
+    outcome is every config's.
     """
     configs = [config] if isinstance(config, TrainConfig) else list(config)
     if not configs:
         raise ValueError("no configs to adapt")
-    if any(_lockstep_key(c) != _lockstep_key(configs[0]) for c in configs):
-        raise ValueError("configs adapted together may differ only in alpha, beta and lambda")
     if snapshot_dir is not None and len(configs) > 1:
         raise ValueError("soft-label snapshots are written for a single config only")
     if not np.isfinite(target_train.features).all():
         raise ValueError("target_train features must be finite")
-    start, first = time.perf_counter(), configs[0]
-    try:
-        split = (split_target(source_model, target_train, first.p_th)
-                 if first.mode == "dmapl" else None)
-    except DmaplError as exc:  # a failed split is every config's outcome
-        return _unwrap(exc) if isinstance(config, TrainConfig) else [exc] * len(configs)
-    rng = make_rng(first.seed)
-    split_record = None if split is None else split_diagnostics(split, diagnostic_labels)
-    records = [RunRecord(config=c.to_dict(), seed=c.seed, mode=c.mode,
-                         split=None if split is None else dict(split_record), split_result=split)
-               for c in configs]
-    dual = first.mode in ("dmapl", "soft_label_no_split")
-    model = Model.stack([source_model] * (len(configs) if dual else 1))
-    stops, store, epochs = _Stops(model), None, ()
-    if dual:
-        store, epochs = _dual_average(model, target_train, configs, rng, split, stops)
-    elif first.mode == "naive_pl":
-        # self-training: re-label everything with the current model at each
-        # epoch start, then train one epoch of hard CE on those labels
-        x = target_train.features
-        epochs = ((epoch, (ce, np.zeros(1), ce), lr) for epoch, (ce,), lr in _fit_hard_labels(
-            model, first.adapt_epochs, [rng], x[None], lambda: stops.retry(model.predict, x),
-            stops, "naive pseudo-labeling"))
-
-    def test_metrics(k: int) -> dict:
-        """Cell k's test metrics, none without `eval_data`; a failure stops the cell."""
-        if eval_data is None:
-            return {}
+    arch = source_model.config
+    for c in configs:  # the source model fixes the architecture
+        if (c.hidden_dims, c.bottleneck_dim) != (arch.hidden_dims, arch.bottleneck_dim):
+            raise ValueError(f"hidden_dims {c.hidden_dims} and bottleneck_dim {c.bottleneck_dim} "
+                             f"disagree with the source model's {arch.hidden_dims} and "
+                             f"{arch.bottleneck_dim}")
+    if eval_data is not None:
+        check_test_set(arch, eval_data)
+    groups: dict[TrainConfig, list[TrainConfig]] = {}  # keyed by all but alpha, beta, lambda
+    for c in dict.fromkeys(configs):  # a repeated config runs once
+        groups.setdefault(replace(c, alpha=0.5, beta=0.5, lam=0.0), []).append(c)
+    outcomes = {}
+    for group in groups.values():
+        start, first = time.perf_counter(), group[0]
         try:
-            metrics = evaluate(model.cell(k), eval_data)
-        except DivergenceError as exc:
-            stops.stop(exc, np.arange(len(model.flat)) == k)
-            return {}
-        return {"test_macro": metrics.macro, "test_micro": metrics.micro}
+            split = (split_target(source_model, target_train, first.p_th)
+                     if first.mode == "dmapl" else None)
+        except DmaplError as exc:  # a failed split is the whole group's outcome
+            outcomes.update(dict.fromkeys(group, exc))
+            continue
+        rng = make_rng(first.seed)
+        split_record = None if split is None else split_diagnostics(split, diagnostic_labels)
+        records = [RunRecord(config=c.to_dict(), seed=c.seed, mode=c.mode, split_result=split,
+                             split=None if split is None else dict(split_record))
+                   for c in group]
+        dual = first.mode in ("dmapl", "soft_label_no_split")
+        model = Model.stack([source_model] * (len(group) if dual else 1))
+        stops, store, epochs = _Stops(model), None, ()
+        if dual:
+            store, epochs = _dual_average(model, target_train, group, rng, split, stops)
+        elif first.mode == "naive_pl":
+            # self-training: re-label everything with the current model at
+            # each epoch start, then train one epoch of hard CE on those labels
+            x = target_train.features
+            epochs = ((epoch, (ce, np.zeros(1), ce), lr) for epoch, (ce,), lr in _fit_hard_labels(
+                model, first.adapt_epochs, [rng], x[None], lambda: stops.retry(model.predict, x),
+                stops, "naive pseudo-labeling"))
 
-    # record k reads cell k of a lockstep stack, or the one cell of the others
-    cell_of = np.broadcast_to(np.arange(len(model.flat)), len(records))
-    for epoch, means, lr in epochs:
-        for record, k in zip(records, cell_of):
-            entry = {"epoch": epoch, "lr": lr}
-            for name, mean in zip(("loss_l", "loss_u", "loss_total"), means):
-                entry[name] = float(mean[k])
-            entry.update(test_metrics(k))
-            record.epochs.append(entry)
-        if snapshot_dir is not None and store is not None:
-            store.save_csv(os.path.join(snapshot_dir, f"soft_labels_epoch{epoch:03d}.csv"))
-    outcomes = []
-    for record, k in zip(records, cell_of):
-        # the last epoch's figures are the final ones (source_only has no epochs)
-        last = record.epochs[-1] if record.epochs else test_metrics(k)
-        record.final = {key: v for key, v in last.items() if key not in ("epoch", "lr")}
-        record.wall_clock_sec = time.perf_counter() - start
-        outcomes.append((model.cell(k), record) if stops.errors[k] is None else stops.errors[k])
-    return _unwrap(outcomes[0]) if isinstance(config, TrainConfig) else outcomes
+        def test_metrics(k: int) -> dict:
+            """Cell k's test metrics, none without `eval_data`; a failure stops the cell."""
+            if eval_data is None:
+                return {}
+            try:
+                metrics = evaluate(model.cell(k), eval_data)
+            except DivergenceError as exc:
+                stops.stop(exc, np.arange(len(model.flat)) == k)
+                return {}
+            return {"test_macro": metrics.macro, "test_micro": metrics.micro}
+
+        # record k reads cell k of a lockstep stack, or the one cell of the others
+        cell_of = np.broadcast_to(np.arange(len(model.flat)), len(records))
+        for epoch, means, lr in epochs:
+            for record, k in zip(records, cell_of):
+                entry = {"epoch": epoch, "lr": lr}
+                for name, mean in zip(("loss_l", "loss_u", "loss_total"), means):
+                    entry[name] = float(mean[k])
+                entry.update(test_metrics(k))
+                record.epochs.append(entry)
+            if snapshot_dir is not None and store is not None:
+                store.save_csv(os.path.join(snapshot_dir, f"soft_labels_epoch{epoch:03d}.csv"))
+        for c, record, k in zip(group, records, cell_of):
+            # the last epoch's figures are the final ones (source_only has no epochs)
+            last = record.epochs[-1] if record.epochs else test_metrics(k)
+            record.final = {key: v for key, v in last.items() if key not in ("epoch", "lr")}
+            record.wall_clock_sec = time.perf_counter() - start
+            outcomes[c] = (model.cell(k), record) if stops.errors[k] is None else stops.errors[k]
+    return (_unwrap(outcomes[config]) if isinstance(config, TrainConfig)
+            else [outcomes[c] for c in configs])
 
 
 @dataclass
@@ -536,32 +543,27 @@ def _experiment(bench: Benchmark, seed: int, configs: list[TrainConfig], source_
     """Adapt and evaluate `configs` on the benchmark of `seed` from its
     source model: per config its result dict or DmaplError."""
     source_metrics = evaluate(source_model, bench.target_test)
-    target = bench.target_train.without_labels()
-    groups: dict[TrainConfig, list[int]] = {}
-    for i, c in enumerate(configs):
-        groups.setdefault(_lockstep_key(c), []).append(i)
-    outcomes: list = [None] * len(configs)
-    for members in groups.values():
-        results = adapt(source_model, target, [configs[i] for i in members],
-                        diagnostic_labels=bench.target_train.labels)
-        for i, result in zip(members, results):
-            try:
-                adapted, record = _unwrap(result)
-                metrics = evaluate(adapted, bench.target_test)
-            except DmaplError as exc:
-                outcomes[i] = exc
-                continue
-            outcomes[i] = {
-                "mode": configs[i].mode,
-                "seed": seed,
-                "source_val_micro": source_record.final["best_val_micro"],
-                "source_test_macro": source_metrics.macro,
-                "source_test_micro": source_metrics.micro,
-                "test_macro": metrics.macro,
-                "test_micro": metrics.micro,
-                "split": record.split,
-                "record": record,
-            }
+    results = adapt(source_model, bench.target_train.without_labels(), configs,
+                    diagnostic_labels=bench.target_train.labels)
+    outcomes = []
+    for config, result in zip(configs, results):
+        try:
+            adapted, record = _unwrap(result)
+            metrics = evaluate(adapted, bench.target_test)
+        except DmaplError as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append({
+            "mode": config.mode,
+            "seed": seed,
+            "source_val_micro": source_record.final["best_val_micro"],
+            "source_test_macro": source_metrics.macro,
+            "source_test_micro": source_metrics.micro,
+            "test_macro": metrics.macro,
+            "test_micro": metrics.micro,
+            "split": record.split,
+            "record": record,
+        })
     return outcomes
 
 
@@ -632,13 +634,12 @@ def _sweep_share(work: list) -> list[dict]:
                            [configs[0] for _, _, configs in work])
     rows = []
     for (spec, cells, configs), bench, source in zip(work, benches, sources):
-        distinct = list(dict.fromkeys(configs))  # a config in several grids runs once
         try:
-            results = dict(zip(distinct, _experiment(bench, spec.seed, distinct, *_unwrap(source))))
+            results = _experiment(bench, spec.seed, configs, *_unwrap(source))
         except DmaplError as exc:  # the seed's source model failed
-            results = dict.fromkeys(distinct, exc)
-        for (keys, cell, _), config in zip(cells, configs):
-            row, result = dict(zip(keys, cell), seed=config.seed), results[config]
+            results = [exc] * len(configs)
+        for (keys, cell, _), config, result in zip(cells, configs, results):
+            row = dict(zip(keys, cell), seed=config.seed)
             if isinstance(result, DmaplError):
                 row.update(ratio=None, pl_acc=None, test_acc=None, error=str(result))
             else:
@@ -669,8 +670,8 @@ def sweep(spec: DomainShiftSpec, base_config: TrainConfig,
     them; a row holds its own grid's keys. `jobs` > 1 splits the seeds into
     up to that many shares, a process each, and no share holds more than
     `STACK_SEEDS` seeds. The source models of a share's seeds train in one
-    stack, once per seed; a config in several grids runs
-    once, and cells that share `p_th` adapt in lockstep. Every row is
+    stack, once per seed, and each seed's cells go to one `adapt` call,
+    which runs a config in several grids once. Every row is
     bit-identical to a run of its cell alone. All arguments are validated
     before any training; a failed source model or cell is recorded with its
     error and the sweep goes on. Rows come in (seed, grid, cell) order."""

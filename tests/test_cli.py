@@ -468,9 +468,10 @@ def test_adapt_records_the_architecture_of_its_model_file(data_dir, tmp_path):
 
 
 def counting_train_source(monkeypatch, pass_through=False):
-    """Record the config of every cell that `dmapl.trainer.train_source`
-    trains, one entry per cell of a stacked call; without `pass_through` a
-    call fails the test."""
+    """Record the config of every cell that `train_source` trains, one entry
+    per cell of a stacked call, called through `dmapl.trainer` or `dmapl.cli`.
+    Without `pass_through`, a call of `train_source` or of `adapt` is recorded
+    too, with each of its configs, and fails the test."""
     calls = []
     train_source = dmapl.trainer.train_source
 
@@ -480,7 +481,14 @@ def counting_train_source(monkeypatch, pass_through=False):
             raise AssertionError("train_source ran before the arguments were checked")
         return train_source(train, val, config)
 
-    monkeypatch.setattr(dmapl.trainer, "train_source", counted)
+    def no_adapt(source_model, target_train, config, **kwargs):
+        calls.extend(config if isinstance(config, list) else [config])
+        raise AssertionError("adapt ran before the arguments were checked")
+
+    for module in (dmapl.trainer, dmapl.cli):
+        monkeypatch.setattr(module, "train_source", counted)
+        if not pass_through:
+            monkeypatch.setattr(module, "adapt", no_adapt)
     return calls
 
 
@@ -569,6 +577,7 @@ BAD_INPUTS = {
     "train-source-missing-val": ("train-source", "--train", "@source", "--val", "@missing"),
     "train-source-duplicate-key": (*TRAIN, "--config", "alpha = 0.5\nalpha = 0.7"),
     "gen-data-duplicate-spec-key": ("gen-data", "--spec", "seed = 1\nseed = 2"),
+    "train-source-class-gap": ("train-source", "--train", "@gap", "--val", "@source"),
 }
 # what the error of a row must say, "{name}" standing for the path of "@name"
 BAD_INPUT_ERRORS = {
@@ -604,6 +613,8 @@ BAD_INPUT_ERRORS = {
     "train-source-missing-val": "{missing}",
     "train-source-duplicate-key": "error: {flat}: line 2: duplicate key 'alpha'",
     "gen-data-duplicate-spec-key": "error: {flat}: line 2: duplicate key 'seed'",
+    "train-source-class-gap": ("error: {gap}: the source training set has no row of class 4, "
+                               "below its largest label 9"),
 }
 
 
@@ -630,14 +641,25 @@ def wide_file(data_dir, tmp_path_factory):
     return {"@wide": path}
 
 
+@pytest.fixture(scope="module")
+def gap_file(data_dir, tmp_path_factory):
+    """The source training set with its first label set to 9: classes 4-8 have no row."""
+    path = tmp_path_factory.mktemp("gap") / "gap.csv"
+    train = load_csv(str(data_dir / "source_train.csv"))
+    labels = train.labels.copy()
+    labels[0] = 9
+    save_csv(Dataset(train.features, labels, 10), str(path))
+    return {"@gap": path}
+
+
 @pytest.mark.parametrize("name", BAD_INPUTS)
 def test_bad_input_fails_before_out_is_made(name, data_dir, source_dir, truth_files, wide_file,
-                                            tmp_path, monkeypatch, capsys):
+                                            gap_file, tmp_path, monkeypatch, capsys):
     calls = counting_train_source(monkeypatch)
     grid, flat = tmp_path / "grid.json", tmp_path / "flat.txt"
     paths = {"@model": source_dir / "source_model.txt", "@data": data_dir / "target_train.csv",
              "@source": data_dir / "source_train.csv", "@missing": tmp_path / "missing.csv",
-             "@flat": flat, **truth_files, **wide_file}
+             "@flat": flat, **truth_files, **wide_file, **gap_file}
     argv = []
     for arg in BAD_INPUTS[name]:
         if isinstance(arg, (dict, list)):

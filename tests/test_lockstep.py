@@ -90,14 +90,16 @@ def test_lockstep_models_and_records_equal_solo_runs(shape):
             np.testing.assert_array_equal(model.params[name], solo_model.params[name])
 
 
-def test_lockstep_rejects_configs_that_cannot_share_a_loop():
+def test_adapt_rejects_an_empty_list_and_snapshots_of_several_configs(tmp_path):
     spec = DomainShiftSpec(seed=5, samples_per_class=40)
     config = TrainConfig(seed=5, source_epochs=2, adapt_epochs=1)
     bench = prepare_benchmark(spec)
     source_model, _ = train_source(bench.source_train, bench.source_val, config)
     target = bench.target_train.without_labels()
-    with pytest.raises(ValueError, match="differ only"):
-        adapt(source_model, target, [config, replace(config, p_th=0.8)])
+    # the rule counts the configs given, not the distinct ones that run
+    with pytest.raises(ValueError, match="single config only"):
+        adapt(source_model, target, [config, config], snapshot_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == []
     with pytest.raises(ValueError, match="no configs"):
         adapt(source_model, target, [])
 
@@ -225,6 +227,43 @@ def test_a_late_stop_costs_no_rerun(monkeypatch):
     assert len(calls) == 6  # three epochs of two steps, run once
 
 
+def outcome_of(call, *args, **kwargs):
+    """What `call` returns, or the DmaplError it raises."""
+    try:
+        return call(*args, **kwargs)
+    except DmaplError as exc:
+        return exc
+
+
+def test_adapt_runs_a_mixed_list_as_its_solo_runs(monkeypatch):
+    # a loop each for p_th 0.7 (three configs), p_th 0.8, naive_pl and
+    # soft_label_no_split; no target row clears 0.999, so that split fails
+    spec, config = DIVERGING["spec"], DIVERGING["config"]
+    bench = prepare_benchmark(spec)
+    source_model, _ = train_source(bench.source_train, bench.source_val, config)
+    target = bench.target_train.without_labels()
+    configs = [config, replace(config, p_th=0.8), replace(config, p_th=0.999),
+               replace(config, mode="naive_pl"), replace(config, mode="soft_label_no_split"),
+               replace(config, lam=1e30), config]
+    kwargs = dict(diagnostic_labels=bench.target_train.labels, eval_data=bench.target_test)
+    built = count_optimizers(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = adapt(source_model, target, configs, **kwargs)
+        assert len(built) == 4
+        solo = [outcome_of(adapt, source_model, target, cfg, **kwargs) for cfg in configs]
+    assert results[-1] is results[0]
+    assert [type(r).__name__ for r in results] == [type(r).__name__ for r in solo] == [
+        "tuple", "tuple", "EmptyConfidentSetError", "tuple", "tuple", "DivergenceError", "tuple"]
+    for result, expected in zip(results, solo, strict=True):
+        if isinstance(expected, DmaplError):
+            assert str(result) == str(expected)
+            continue
+        (model, record), (solo_model, solo_record) = result, expected
+        assert record.summary_json() == solo_record.summary_json()
+        assert record.epoch_lines() == solo_record.epoch_lines()
+        np.testing.assert_array_equal(model.flat.view(np.int64), solo_model.flat.view(np.int64))
+
+
 def test_a_diverging_source_run_stops_in_the_one_loop(monkeypatch):
     # seed 0's features overflow its logits at the first step; seed 1 trains
     # on in the same stack, with the same optimizer
@@ -264,6 +303,37 @@ def test_non_finite_target_features_fail_before_a_model_is_stacked(mode, monkeyp
     for configs in (config, [replace(config, lam=lam) for lam in (1.0, 0.5)]):
         with pytest.raises(ValueError, match="^target_train features must be finite$"):
             adapt(source_model, target, configs)
+    assert built == []
+
+
+@pytest.mark.parametrize("change", [dict(hidden_dims=(32,)), dict(bottleneck_dim=4)])
+def test_a_config_of_another_architecture_fails_before_a_model_is_stacked(change, monkeypatch):
+    bench = prepare_benchmark(DomainShiftSpec(samples_per_class=20))
+    config = TrainConfig(adapt_epochs=1)
+    arch = ModelConfig(2, config.hidden_dims, config.bottleneck_dim, 4)
+    source_model = Model.init(arch, np.random.default_rng(0))
+    target = bench.target_train.without_labels()
+    built = count_optimizers(monkeypatch)
+    for configs in (replace(config, **change), [config, replace(config, **change)]):
+        with pytest.raises(ValueError, match="disagree with the source model's"):
+            adapt(source_model, target, configs)
+    assert built == []
+
+
+@pytest.mark.parametrize("fault", ["empty", "unlabeled", "classes", "features"])
+def test_an_unusable_eval_set_fails_before_a_model_is_stacked(fault, monkeypatch):
+    bench = prepare_benchmark(DomainShiftSpec(samples_per_class=20))
+    test = bench.target_test
+    eval_data = {"empty": test.subset(np.arange(0)), "unlabeled": test.without_labels(),
+                 "classes": Dataset(test.features, test.labels, 5),
+                 "features": Dataset(np.pad(test.features, ((0, 0), (0, 1))), test.labels, 4)}
+    config = TrainConfig(adapt_epochs=1, p_th=0.3)
+    arch = ModelConfig(2, config.hidden_dims, config.bottleneck_dim, 4)
+    source_model = Model.init(arch, np.random.default_rng(0))
+    built = count_optimizers(monkeypatch)
+    with pytest.raises(ValueError, match="^(test set|model and test set) "):
+        adapt(source_model, bench.target_train.without_labels(), config,
+              eval_data=eval_data[fault])
     assert built == []
 
 
